@@ -1,8 +1,8 @@
 """2D fractional diffusion on [-1, 1]^2 x [0, 2] with an irrational order.
 
 The solution sin(pi x) sin(pi y) t^(1 + mu) with mu = sqrt(2)/2 is solved
-via a generalized eigenvalue decoupling of the temporal pencil: one QZ
-factorization plus a triangular sweep replaces a dense space-time system.
+in a rotated spatial basis that decouples the modes: one small real temporal
+system per pair of spatial modes replaces a dense space-time system.
 The tuned exponent scale again resolves the fractional power in time.
 """
 

@@ -341,5 +341,5 @@ def assemble_forcing_2d(
         raise StructuralError("forcing must broadcast over (time, x, y) node arrays")
     _check_finite(fvals, "forcing")
     wphi = wx[:, None] * phi.T  # (ks, nm)
-    spatial = np.einsum("kij,ia,jb->kab", fvals, wphi, wphi)
+    spatial = wphi.T @ fvals @ wphi  # (kt, nm, nm)
     return tmat @ spatial.reshape(kt, nm * nm)

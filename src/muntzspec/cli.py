@@ -369,10 +369,12 @@ def _parse_sweep(text: str):
     return axis, points
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return os.cpu_count() or 1
+def _env_threads() -> int | None:
+    """The positive count in MUNTZSPEC_THREADS, or None when it is unset or
+    empty."""
+    raw = os.environ.get(THREADS_ENV, "").strip()
+    if not raw:
+        return None
     try:
         count = int(raw)
     except ValueError as exc:
@@ -400,7 +402,7 @@ def cmd_convergence(args) -> int:
         else:
             varied = DiscretizationSpec(value, disc.n_time, disc.lambda_source)
         jobs.append((run, varied, lam))
-    threads = _thread_count()
+    threads = _env_threads() or os.cpu_count() or 1
     if threads > 1 and len(jobs) > 1:
         import multiprocessing
 
@@ -416,8 +418,7 @@ def cmd_convergence(args) -> int:
 
 def cmd_train(args) -> int:
     run = parse_run_config(args.config)
-    env_workers = int(os.environ[THREADS_ENV]) if os.environ.get(THREADS_ENV) else None
-    config = build_training_config(run.training, workers_env=env_workers)
+    config = build_training_config(run.training, workers_env=_env_threads())
     context = mltune.SolverContext()
     train_ds = mltune.generate_dataset(
         "training", config.n_mu, config.n_nu, seed=config.seed, context=context

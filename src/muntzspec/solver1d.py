@@ -111,6 +111,23 @@ class SpectralSolution:
 SourceTerm = Union[ManufacturedProblem, Callable[..., np.ndarray]]
 
 
+def _check_source(config: SolverConfig, source: SourceTerm) -> None:
+    """A manufactured problem must describe the equation the config solves."""
+    if not isinstance(source, ManufacturedProblem):
+        return
+    for name, want, got in (
+        ("mu", config.mu, source.mu),
+        ("kappa", config.kappa, source.kappa),
+        ("rho", config.rho, source.rho),
+        ("t_end", config.t_end, source.t_end),
+        ("dimension", config.dimension, source.dim),
+    ):
+        if got != want:
+            raise ParameterDomainError(
+                f"manufactured problem has {name} = {got}, but the solver config has {want}"
+            )
+
+
 def _condition_estimate(matrix: np.ndarray, lu: np.ndarray) -> float:
     gecon, = get_lapack_funcs(("gecon",), (matrix,))
     anorm = np.linalg.norm(matrix, 1)
@@ -163,6 +180,7 @@ def solve_1d(config: SolverConfig, source: SourceTerm) -> SpectralSolution:
     """Assemble and solve the 1D problem for the given source term."""
     if config.dimension != 1:
         raise ParameterDomainError("solve_1d needs a dimension-1 configuration")
+    _check_source(config, source)
     ops_x = assemble_spatial(config.m_space)
     ops_t = assemble_temporal(
         config.n_time, config.mu, config.lam, alpha=config.alpha, nhat=config.nhat

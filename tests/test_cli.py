@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 from muntzspec import cli, mltune
+from muntzspec.assembly import ManufacturedProblem
 from muntzspec.errors import ParameterDomainError, StructuralError
+from muntzspec.solver1d import SolverConfig
+from muntzspec.solver2d import error_norms_2d, solve_2d_dense
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -280,6 +283,34 @@ class TestSolveCommand:
         # spatial truncation of the product mode dominates at M = 8
         assert float(rows[0][6]) < 1e-2
 
+    def test_2d_packaged_ann_lambda_matches_dense_oracle(self, tmp_path):
+        # the 2D fast path once exited 3 here ("imaginary residue 1.404e-02")
+        path = write_config(
+            tmp_path,
+            """
+            [problem]
+            mu = 0.12
+            nu = 0.88
+            rho = 0.0
+            dimension = 2
+
+            [discretization]
+            M = 12
+            N = 20
+            lambda = ann:packaged
+            """,
+        )
+        assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
+        _, rows = read_rows(tmp_path / "errors.csv")
+        lam, linf, residual = float(rows[0][2]), float(rows[0][6]), float(rows[0][7])
+        assert lam == cli.resolve_lambda("ann:packaged", 0.12, tmp_path)
+        assert residual <= 1e-10
+        problem = ManufacturedProblem(mu=0.12, nu=0.88, rho=0.0, dim=2)
+        config = SolverConfig(mu=0.12, lam=lam, rho=0.0, m_space=12, n_time=20, dimension=2)
+        dense = error_norms_2d(solve_2d_dense(config, problem), problem.exact).linf
+        assert linf <= 1e-6
+        assert abs(linf - dense) <= 1e-2 * dense
+
 
 class TestConvergenceCommand:
     def test_temporal_sweep_rows(self, tmp_path):
@@ -329,6 +360,16 @@ class TestConvergenceCommand:
         assert cli.main(
             ["convergence", "--config", path, "--sweep", "N=2,4", "--out", str(tmp_path)]
         ) == 0
+
+    def test_thread_env_parsed_once_for_both_commands(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+        assert cli._env_threads() is None  # unset: no override
+        monkeypatch.setenv(cli.THREADS_ENV, "3")
+        assert cli._env_threads() == 3
+        monkeypatch.setenv(cli.THREADS_ENV, "two")
+        path = write_config(tmp_path, TRAIN_MINI)
+        assert cli.main(["train", "--config", path, "--out", str(tmp_path)]) == 2
+        assert cli.THREADS_ENV in capsys.readouterr().err
 
 
 TRAIN_MINI = """

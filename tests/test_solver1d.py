@@ -152,6 +152,22 @@ class TestConfigValidation:
         with pytest.raises(ParameterDomainError):
             solve_1d(cfg, lambda x, t: 0.0 * x * t)
 
+    def test_problem_config_mismatch_rejected(self):
+        # this pair once solved silently to a Linf error near 1
+        cfg = SolverConfig(mu=0.6, lam=0.5, kappa=1.0, m_space=8, n_time=4)
+        with pytest.raises(ParameterDomainError, match="mu"):
+            solve_1d(cfg, ManufacturedProblem(mu=0.3, nu=1.5, kappa=2.0))
+        cfg = SolverConfig(mu=0.6, lam=0.5, rho=0.0, m_space=8, n_time=4)
+        for name, field in (
+            ("kappa", dict(kappa=2.0)),
+            ("rho", dict(rho=0.5)),
+            ("t_end", dict(t_end=2.0)),
+            ("dimension", dict(dim=2)),
+        ):
+            prob = ManufacturedProblem(**{**dict(mu=0.6, nu=1.5, rho=0.0), **field})
+            with pytest.raises(ParameterDomainError, match=name):
+                solve_1d(cfg, prob)
+
 
 class TestEvaluation:
     def make_solution(self):
