@@ -59,7 +59,6 @@ from .solver1d import (
     solve_1d,
 )
 from .solver2d import (
-    ErrorReport2D,
     FourierLikeBasis,
     Solution2D,
     error_norms_2d,

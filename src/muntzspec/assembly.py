@@ -13,6 +13,11 @@ integrals that Gauss-Jacobi rules capture exactly or nearly exactly:
              convolution variable, with the smooth remainder
              ((1 - v^(1/lam)) / (1 - v))^(-mu) kept in the summand.
 
+The equation's own parameters (mu, kappa, rho, dimension, t_end) are
+validated in one place, `_check_equation`, for both the solver configuration
+and the manufactured problems; `SourceTerm` is the one type of a right-hand
+side.
+
 Index convention for matrices: [test index, trial index].
 """
 
@@ -55,6 +60,23 @@ __all__ = [
 ALPHA_DEFAULT = 0.5
 LAMBDA_MIN = 0.01
 _WEIGHT_EXP_MAX = 1.0e4
+
+
+def _check_equation(mu: float, kappa: float, rho: float, dim: int, t_end: float) -> None:
+    """Domain of the equation's parameters; comparisons are written so that
+    NaN fails them, and infinite kappa, rho or t_end are rejected too."""
+    if not 0.0 < mu < 1.0:
+        raise ParameterDomainError(f"fractional order must lie in (0, 1), got {mu}")
+    if not 0.0 < kappa < math.inf:
+        raise ParameterDomainError(f"diffusivity must be positive and finite, got {kappa}")
+    if not 0.0 <= rho < math.inf:
+        raise ParameterDomainError(f"convection speed must be nonnegative and finite, got {rho}")
+    if dim not in (1, 2):
+        raise ParameterDomainError(f"dimension must be 1 or 2, got {dim}")
+    if dim == 2 and rho != 0.0:
+        raise ParameterDomainError("the 2D problem supports diffusion only (rho = 0)")
+    if not 0.0 < t_end < math.inf:
+        raise ParameterDomainError(f"final time must be positive and finite, got {t_end}")
 
 
 def caputo_power(mu: float, nu: float, t):
@@ -205,20 +227,11 @@ class ManufacturedProblem:
     t_end: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.mu < 1.0:
-            raise ParameterDomainError(f"fractional order must lie in (0, 1), got {self.mu}")
-        if self.nu <= 0.0:
-            raise ParameterDomainError(f"temporal exponent must be positive, got {self.nu}")
-        if self.kappa <= 0.0:
-            raise ParameterDomainError(f"diffusivity must be positive, got {self.kappa}")
-        if self.rho < 0.0:
-            raise ParameterDomainError(f"convection speed must be nonnegative, got {self.rho}")
-        if self.dim not in (1, 2):
-            raise ParameterDomainError(f"dimension must be 1 or 2, got {self.dim}")
-        if self.dim == 2 and self.rho != 0.0:
-            raise ParameterDomainError("the 2D problem supports diffusion only (rho = 0)")
-        if self.t_end <= 0.0:
-            raise ParameterDomainError(f"final time must be positive, got {self.t_end}")
+        _check_equation(self.mu, self.kappa, self.rho, self.dim, self.t_end)
+        if not 0.0 < self.nu < math.inf:
+            raise ParameterDomainError(
+                f"temporal exponent must be positive and finite, got {self.nu}"
+            )
 
     def exact(self, x, t, y=None):
         """Exact solution at physical time t."""
@@ -253,20 +266,25 @@ class ManufacturedProblem:
 SourceTerm = Union[ManufacturedProblem, Callable[..., np.ndarray]]
 
 
-def _temporal_quadrature(tbasis: MuntzBasis, n_quad: int):
-    """Mapped rule and the matrix T with T[n, k] = w_k * member_n(s_k-form),
-    so that (g, member_n) = sum_k T[n, k] g(tau_k)."""
+def _forcing_rules(sbasis: SpatialBasis, tbasis: MuntzBasis, t_end: float):
+    """Quadrature shared by the forcing assemblers: Gauss-Legendre nodes x,
+    weights wx and basis table phi in space; in time the physical nodes and
+    the matrix T with T[n, k] = w_k * member_n(s_k-form), so that
+    (g, member_n) = sum_k T[n, k] g(tau_k)."""
     if tbasis.beta != -1.0:
         raise StructuralError("temporal quadrature expects the (alpha, -1) family")
+    srule = gauss_jacobi(0.0, 0.0, sbasis.m_legendre + 10)
+    x = srule.nodes
+    phi = spatial_table(sbasis, x)
     lam = tbasis.lam
-    rule = gauss_jacobi_unit(0.0, 1.0 / lam, n_quad)
+    rule = gauss_jacobi_unit(0.0, 1.0 / lam, 2 * tbasis.nmax + 20)
     s = rule.nodes
     tau = np.power(s, 1.0 / lam)
     idx = np.arange(tbasis.n_modes, dtype=float)
     pref = (idx + tbasis.alpha + 1.0) / (idx + 1.0)
     ptab = jacobi_table(tbasis.alpha, 1.0, tbasis.nmax, 2.0 * s - 1.0)
     tmat = pref[:, None] * ptab * rule.weights / lam
-    return tau, tmat
+    return x, srule.weights, phi, tau * t_end, tmat
 
 
 def _check_finite(values: np.ndarray, what: str) -> None:
@@ -276,12 +294,7 @@ def _check_finite(values: np.ndarray, what: str) -> None:
 
 
 def assemble_forcing_1d(
-    source: SourceTerm,
-    sbasis: SpatialBasis,
-    tbasis: MuntzBasis,
-    t_end: float = 1.0,
-    n_quad_space: int | None = None,
-    n_quad_time: int | None = None,
+    source: SourceTerm, sbasis: SpatialBasis, tbasis: MuntzBasis, t_end: float = 1.0
 ) -> np.ndarray:
     """Forcing matrix F[n, m] = (f, phi_m member_n) over [-1, 1] x [0, 1].
 
@@ -289,41 +302,24 @@ def assemble_forcing_1d(
     t = tau * t_end.  source is a ManufacturedProblem or a callable f(x, t)
     that broadcasts over arrays.
     """
-    ks = n_quad_space if n_quad_space is not None else sbasis.m_legendre + 10
-    kt = n_quad_time if n_quad_time is not None else 2 * tbasis.nmax + 20
-    srule = gauss_jacobi(0.0, 0.0, ks)
-    x, wx = srule.nodes, srule.weights
-    phi = spatial_table(sbasis, x)
-    tau, tmat = _temporal_quadrature(tbasis, kt)
-    t_phys = tau * t_end
+    x, wx, phi, t_phys, tmat = _forcing_rules(sbasis, tbasis, t_end)
     f = source.forcing if isinstance(source, ManufacturedProblem) else source
     fvals = np.asarray(f(x[None, :], t_phys[:, None]), dtype=float)
-    if fvals.shape != (kt, ks):
+    if fvals.shape != (t_phys.size, x.size):
         raise StructuralError("forcing must broadcast over (time, space) node arrays")
     _check_finite(fvals, "forcing")
     return tmat @ fvals @ (wx[:, None] * phi.T)
 
 
 def assemble_forcing_2d(
-    source: SourceTerm,
-    sbasis: SpatialBasis,
-    tbasis: MuntzBasis,
-    t_end: float = 1.0,
-    n_quad_space: int | None = None,
-    n_quad_time: int | None = None,
+    source: SourceTerm, sbasis: SpatialBasis, tbasis: MuntzBasis, t_end: float = 1.0
 ) -> np.ndarray:
     """Forcing tensor F[n, jx * (M-1) + jy] = (f, phi_jx phi_jy member_n).
 
     Separable manufactured sources use two 1D passes; generic callables
     f(x, y, t) are evaluated on the full tensor grid.
     """
-    ks = n_quad_space if n_quad_space is not None else sbasis.m_legendre + 10
-    kt = n_quad_time if n_quad_time is not None else 2 * tbasis.nmax + 20
-    srule = gauss_jacobi(0.0, 0.0, ks)
-    x, wx = srule.nodes, srule.weights
-    phi = spatial_table(sbasis, x)
-    tau, tmat = _temporal_quadrature(tbasis, kt)
-    t_phys = tau * t_end
+    x, wx, phi, t_phys, tmat = _forcing_rules(sbasis, tbasis, t_end)
     nm = sbasis.n_modes
     if isinstance(source, ManufacturedProblem):
         if source.dim != 2:
@@ -337,9 +333,9 @@ def assemble_forcing_2d(
     fvals = np.asarray(
         source(x[None, :, None], x[None, None, :], t_phys[:, None, None]), dtype=float
     )
-    if fvals.shape != (kt, ks, ks):
+    if fvals.shape != (t_phys.size, x.size, x.size):
         raise StructuralError("forcing must broadcast over (time, x, y) node arrays")
     _check_finite(fvals, "forcing")
-    wphi = wx[:, None] * phi.T  # (ks, nm)
-    spatial = wphi.T @ fvals @ wphi  # (kt, nm, nm)
-    return tmat @ spatial.reshape(kt, nm * nm)
+    wphi = wx[:, None] * phi.T  # (x.size, nm)
+    spatial = wphi.T @ fvals @ wphi  # (t_phys.size, nm, nm)
+    return tmat @ spatial.reshape(-1, nm * nm)

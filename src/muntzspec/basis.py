@@ -26,17 +26,12 @@ from .quadrature import gauss_jacobi_unit
 __all__ = [
     "MuntzBasis",
     "SpatialBasis",
-    "jacobi_eval",
     "jacobi_table",
     "legendre_table",
-    "legendre_deriv_table",
-    "muntz_jacobi_eval",
     "muntz_jacobi_table",
     "muntz_norm",
     "muntz_project",
     "spatial_table",
-    "spatial_deriv_table",
-    "spatial_second_deriv_table",
 ]
 
 
@@ -67,13 +62,6 @@ def jacobi_table(alpha: float, beta: float, nmax: int, x: np.ndarray) -> np.ndar
     return out
 
 
-def jacobi_eval(alpha: float, beta: float, n: int, x) -> np.ndarray | float:
-    """P_n^{alpha,beta} at x (scalar in, scalar out)."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    val = jacobi_table(alpha, beta, n, arr)[n]
-    return val.reshape(np.shape(x)) if np.ndim(x) else float(val[0])
-
-
 def legendre_table(nmax: int, x: np.ndarray) -> np.ndarray:
     """Values of the Legendre polynomials L_0..L_nmax at x, one row per degree."""
     x = np.asarray(x, dtype=float)
@@ -83,18 +71,6 @@ def legendre_table(nmax: int, x: np.ndarray) -> np.ndarray:
         out[1] = x
     for k in range(2, nmax + 1):
         out[k] = ((2.0 * k - 1.0) * x * out[k - 1] - (k - 1.0) * out[k - 2]) / k
-    return out
-
-
-def legendre_deriv_table(nmax: int, x: np.ndarray) -> np.ndarray:
-    """First derivatives of L_0..L_nmax at x via L'_k = L'_{k-2} + (2k-1) L_{k-1}."""
-    x = np.asarray(x, dtype=float)
-    vals = legendre_table(max(nmax - 1, 0), x)
-    out = np.zeros((nmax + 1,) + x.shape)
-    if nmax >= 1:
-        out[1] = 1.0
-    for k in range(2, nmax + 1):
-        out[k] = out[k - 2] + (2.0 * k - 1.0) * vals[k - 1]
     return out
 
 
@@ -158,7 +134,7 @@ def _prefactors(basis: MuntzBasis) -> np.ndarray:
 
 
 def _check_time_domain(t: np.ndarray) -> None:
-    if np.any(t < 0.0) or np.any(t > 1.0):
+    if not np.all((t >= 0.0) & (t <= 1.0)):
         raise ParameterDomainError("evaluation points must lie in [0, 1]")
 
 
@@ -180,15 +156,6 @@ def muntz_jacobi_table(basis: MuntzBasis, t) -> np.ndarray:
         factor = factor * (1.0 - s)
     pref = _prefactors(basis).reshape((basis.n_modes,) + (1,) * t.ndim)
     return pref * factor * table
-
-
-def muntz_jacobi_eval(basis: MuntzBasis, n: int, t) -> np.ndarray | float:
-    """Member n at points t (scalar in, scalar out)."""
-    if not 0 <= n <= basis.nmax:
-        raise ParameterDomainError(f"index must lie in 0..{basis.nmax}, got {n}")
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    val = muntz_jacobi_table(basis, arr)[n]
-    return val.reshape(np.shape(t)) if np.ndim(t) else float(val[0])
 
 
 def muntz_norm(basis: MuntzBasis, n: int) -> float:
@@ -274,7 +241,7 @@ class SpatialBasis:
 
 
 def _check_space_domain(x: np.ndarray) -> None:
-    if np.any(x < -1.0) or np.any(x > 1.0):
+    if not np.all((x >= -1.0) & (x <= 1.0)):
         raise ParameterDomainError("evaluation points must lie in [-1, 1]")
 
 
@@ -285,23 +252,3 @@ def spatial_table(basis: SpatialBasis, x) -> np.ndarray:
     leg = legendre_table(basis.m_legendre, x)
     nm = basis.n_modes
     return basis.coeffs.reshape((nm,) + (1,) * x.ndim) * (leg[:nm] - leg[2 : nm + 2])
-
-
-def spatial_deriv_table(basis: SpatialBasis, x) -> np.ndarray:
-    """First derivatives; the Legendre difference telescopes to -c_m (2m+3) L_{m+1}."""
-    x = np.asarray(x, dtype=float)
-    _check_space_domain(x)
-    leg = legendre_table(basis.m_legendre - 1, x)
-    nm = basis.n_modes
-    scale = -basis.coeffs * (2.0 * np.arange(nm) + 3.0)
-    return scale.reshape((nm,) + (1,) * x.ndim) * leg[1 : nm + 1]
-
-
-def spatial_second_deriv_table(basis: SpatialBasis, x) -> np.ndarray:
-    """Second derivatives, from the derivative table of the Legendre family."""
-    x = np.asarray(x, dtype=float)
-    _check_space_domain(x)
-    dleg = legendre_deriv_table(basis.m_legendre - 1, x)
-    nm = basis.n_modes
-    scale = -basis.coeffs * (2.0 * np.arange(nm) + 3.0)
-    return scale.reshape((nm,) + (1,) * x.ndim) * dleg[1 : nm + 1]

@@ -54,13 +54,8 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class DiscretizationSpec:
-    m_space: int
-    n_time: int
-    lambda_source: str
+    """[discretization], or the [reference] solve used when exact = none."""
 
-
-@dataclass(frozen=True)
-class ReferenceSpec:
     m_space: int
     n_time: int
     lambda_source: str
@@ -72,7 +67,7 @@ class RunConfig:
     discretization: DiscretizationSpec | None
     training: dict
     models: dict
-    reference: ReferenceSpec | None
+    reference: DiscretizationSpec | None
     out_dir: pathlib.Path
     base_dir: pathlib.Path
 
@@ -87,6 +82,17 @@ def _get(section, key, cast, default=None, required=False):
         return cast(raw)
     except ValueError as exc:
         raise StructuralError(f"key '{key}' in [{section.name}]: {exc}") from exc
+
+
+def _discretization(parser, name: str) -> DiscretizationSpec | None:
+    if not parser.has_section(name):
+        return None
+    sec = parser[name]
+    return DiscretizationSpec(
+        m_space=_get(sec, "M", int, required=True),
+        n_time=_get(sec, "N", int, required=True),
+        lambda_source=_get(sec, "lambda", str, required=True).strip(),
+    )
 
 
 def parse_run_config(path: str) -> RunConfig:
@@ -127,26 +133,8 @@ def parse_run_config(path: str) -> RunConfig:
             forcing=forcing,
         )
 
-    discretization = None
-    if parser.has_section("discretization"):
-        sec = parser["discretization"]
-        discretization = DiscretizationSpec(
-            m_space=_get(sec, "M", int, required=True),
-            n_time=_get(sec, "N", int, required=True),
-            lambda_source=_get(sec, "lambda", str, required=True).strip(),
-        )
-
     training = dict(parser["training"]) if parser.has_section("training") else {}
     models = {k: v.strip() for k, v in parser["models"].items()} if parser.has_section("models") else {}
-
-    reference = None
-    if parser.has_section("reference"):
-        sec = parser["reference"]
-        reference = ReferenceSpec(
-            m_space=_get(sec, "M", int, required=True),
-            n_time=_get(sec, "N", int, required=True),
-            lambda_source=_get(sec, "lambda", str, required=True).strip(),
-        )
 
     out_dir = pathlib.Path(".")
     if parser.has_section("output") and "out_dir" in parser["output"]:
@@ -154,7 +142,15 @@ def parse_run_config(path: str) -> RunConfig:
         if not out_dir.is_absolute():
             out_dir = (base_dir / out_dir).resolve()
 
-    return RunConfig(problem, discretization, training, models, reference, out_dir, base_dir)
+    return RunConfig(
+        problem,
+        _discretization(parser, "discretization"),
+        training,
+        models,
+        _discretization(parser, "reference"),
+        out_dir,
+        base_dir,
+    )
 
 
 def build_training_config(raw: dict, workers_env: int | None = None) -> mltune.TrainingConfig:
@@ -273,19 +269,9 @@ def _solver_config(problem: ProblemSpec, disc: DiscretizationSpec, lam: float) -
 
 def _reference_exact(run: RunConfig, source):
     """Surrogate exact solution from a high-resolution reference solve."""
-    ref = run.reference
     problem = run.problem
-    lam = resolve_lambda(ref.lambda_source, problem.mu, run.base_dir)
-    cfg = SolverConfig(
-        mu=problem.mu,
-        lam=lam,
-        kappa=problem.kappa,
-        rho=problem.rho,
-        m_space=ref.m_space,
-        n_time=ref.n_time,
-        t_end=problem.t_end,
-        dimension=problem.dimension,
-    )
+    lam = resolve_lambda(run.reference.lambda_source, problem.mu, run.base_dir)
+    cfg = _solver_config(problem, run.reference, lam)
     if problem.dimension == 1:
         solution = solve_1d(cfg, source)
         return lambda x, t: evaluate_grid(solution, x, np.array([t]))[0]
@@ -416,16 +402,22 @@ def cmd_convergence(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    run = parse_run_config(args.config)
-    config = build_training_config(run.training, workers_env=_env_threads())
-    context = mltune.SolverContext()
+def _datasets(config: mltune.TrainingConfig, context: mltune.SolverContext):
+    """The seeded training set and the validation grid of a training config."""
     train_ds = mltune.generate_dataset(
         "training", config.n_mu, config.n_nu, seed=config.seed, context=context
     )
     val_ds = mltune.generate_dataset(
         "validation", config.n_mu, config.n_nu, context=context
     )
+    return train_ds, val_ds
+
+
+def cmd_train(args) -> int:
+    run = parse_run_config(args.config)
+    config = build_training_config(run.training, workers_env=_env_threads())
+    context = mltune.SolverContext()
+    train_ds, val_ds = _datasets(config, context)
     result = mltune.train(config, train_ds, val_ds, context=context)
     out = _out_dir(run, args)
     out.mkdir(parents=True, exist_ok=True)
@@ -506,15 +498,9 @@ def cmd_compare(args) -> int:
 def cmd_dataset(args) -> int:
     run = parse_run_config(args.config)
     config = build_training_config(run.training)
-    context = mltune.SolverContext()
     out = _out_dir(run, args)
     out.mkdir(parents=True, exist_ok=True)
-    train_ds = mltune.generate_dataset(
-        "training", config.n_mu, config.n_nu, seed=config.seed, context=context
-    )
-    val_ds = mltune.generate_dataset(
-        "validation", config.n_mu, config.n_nu, context=context
-    )
+    train_ds, val_ds = _datasets(config, mltune.SolverContext())
     mltune.save_dataset(train_ds, str(out / "training_data.csv"))
     mltune.save_dataset(val_ds, str(out / "validation_data.csv"))
     print(f"wrote {out / 'training_data.csv'} and {out / 'validation_data.csv'}")

@@ -9,23 +9,27 @@ where St carries the Caputo pairing scaled by t_end^(-mu) (the solve runs on
 the unit reference interval) and Cx^T puts the derivative on the trial side.
 The system is solved once as a dense Kronecker matrix with an LU
 factorization plus a 1-norm condition estimate.
+
+SolverConfig carries the equation (validated by the same check as the
+manufactured problems) and the discretization (lam, M, N); the temporal
+family parameter and inner rule size keep assembly's defaults.  Evaluation
+and the error report are shared with the 2D solver.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .assembly import (
-    ALPHA_DEFAULT,
-    LAMBDA_MIN,
     ManufacturedProblem,
-    SpatialOperators,
-    TemporalOperators,
+    SourceTerm,
+    _check_equation,
+    _validate_lambda,
     assemble_forcing_1d,
     assemble_spatial,
     assemble_temporal,
@@ -66,33 +70,15 @@ class SolverConfig:
     m_space: int = 20
     n_time: int = 10
     t_end: float = 1.0
-    alpha: float = ALPHA_DEFAULT
-    nhat: int | None = None
     dimension: int = 1
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.mu < 1.0:
-            raise ParameterDomainError(f"fractional order must lie in (0, 1), got {self.mu}")
-        if not LAMBDA_MIN <= self.lam <= 1.0:
-            raise ParameterDomainError(
-                f"exponent scale must lie in [{LAMBDA_MIN}, 1], got {self.lam}"
-            )
-        if self.kappa <= 0.0:
-            raise ParameterDomainError(f"diffusivity must be positive, got {self.kappa}")
-        if self.rho < 0.0:
-            raise ParameterDomainError(f"convection speed must be nonnegative, got {self.rho}")
+        _check_equation(self.mu, self.kappa, self.rho, self.dimension, self.t_end)
+        _validate_lambda(self.lam)
         if self.m_space < 3:
             raise ParameterDomainError(f"spatial cutoff must be at least 3, got {self.m_space}")
         if self.n_time < 0:
             raise ParameterDomainError(f"temporal index must be nonnegative, got {self.n_time}")
-        if self.t_end <= 0.0:
-            raise ParameterDomainError(f"final time must be positive, got {self.t_end}")
-        if self.alpha <= -1.0:
-            raise ParameterDomainError(f"family parameter must exceed -1, got {self.alpha}")
-        if self.dimension not in (1, 2):
-            raise ParameterDomainError(f"dimension must be 1 or 2, got {self.dimension}")
-        if self.dimension == 2 and self.rho != 0.0:
-            raise ParameterDomainError("the 2D solver supports diffusion only (rho = 0)")
 
 
 @dataclass(frozen=True)
@@ -106,9 +92,6 @@ class SpectralSolution:
     residual: float
     cond_estimate: float
     cond_warning: bool
-
-
-SourceTerm = Union[ManufacturedProblem, Callable[..., np.ndarray]]
 
 
 def _check_source(config: SolverConfig, source: SourceTerm) -> None:
@@ -182,9 +165,7 @@ def solve_1d(config: SolverConfig, source: SourceTerm) -> SpectralSolution:
         raise ParameterDomainError("solve_1d needs a dimension-1 configuration")
     _check_source(config, source)
     ops_x = assemble_spatial(config.m_space)
-    ops_t = assemble_temporal(
-        config.n_time, config.mu, config.lam, alpha=config.alpha, nhat=config.nhat
-    )
+    ops_t = assemble_temporal(config.n_time, config.mu, config.lam)
     st = ops_t.stiffness * config.t_end ** (-config.mu)
     mt = ops_t.mass
     mx, cx = ops_x.mass, ops_x.convection
@@ -211,29 +192,47 @@ def solve_1d(config: SolverConfig, source: SourceTerm) -> SpectralSolution:
     )
 
 
+def _unit_times(t, t_end: float) -> np.ndarray:
+    """Physical times t, checked to lie in [0, t_end], on the unit interval."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all((t >= 0.0) & (t <= t_end)):
+        raise ParameterDomainError(f"times must lie in [0, {t_end}]")
+    return t / t_end
+
+
 def evaluate_grid(solution: SpectralSolution, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Evaluate on the tensor grid of spatial points x and physical times t.
 
     Returns values with shape (len(t), len(x)).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    t_end = solution.config.t_end
-    if np.any(t < 0.0) or np.any(t > t_end):
-        raise ParameterDomainError(f"times must lie in [0, {t_end}]")
-    temporal = muntz_jacobi_table(solution.temporal, t / t_end)
+    temporal = muntz_jacobi_table(solution.temporal, _unit_times(t, solution.config.t_end))
     spatial = spatial_table(solution.spatial, x)
     return temporal.T @ solution.coeffs @ spatial
 
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Discrete error norms on a uniform interior grid at one time."""
+    """Discrete error norms on a uniform interior grid (1D) or tensor grid
+    (2D) at one time."""
 
     l2: float
     linf: float
     time: float
     n_nodes: int
+
+
+def _error_report(config: SolverConfig, time, n_nodes: int, difference) -> ErrorReport:
+    """RMS and max of difference(nodes, t) over n_nodes uniform interior nodes
+    per axis, at time (default t_end)."""
+    if n_nodes < 1:
+        raise ParameterDomainError(f"node count must be positive, got {n_nodes}")
+    t_eval = config.t_end if time is None else float(time)
+    nodes = np.linspace(-1.0, 1.0, n_nodes + 2)[1:-1]
+    diff = difference(nodes, t_eval)
+    l2 = float(np.sqrt(np.mean(diff**2)))
+    linf = float(np.max(np.abs(diff)))
+    return ErrorReport(l2, linf, t_eval, n_nodes)
 
 
 def error_norms(
@@ -243,12 +242,9 @@ def error_norms(
     n_nodes: int = 1000,
 ) -> ErrorReport:
     """Root-mean-square and max errors against exact(x, t) at one time slice."""
-    if n_nodes < 1:
-        raise ParameterDomainError(f"node count must be positive, got {n_nodes}")
-    t_eval = solution.config.t_end if time is None else float(time)
-    nodes = np.linspace(-1.0, 1.0, n_nodes + 2)[1:-1]
-    approx = evaluate_grid(solution, nodes, np.array([t_eval]))[0]
-    diff = approx - np.asarray(exact(nodes, t_eval), dtype=float)
-    l2 = float(np.sqrt(np.mean(diff**2)))
-    linf = float(np.max(np.abs(diff)))
-    return ErrorReport(l2, linf, t_eval, n_nodes)
+
+    def difference(nodes, t_eval):
+        approx = evaluate_grid(solution, nodes, np.array([t_eval]))[0]
+        return approx - np.asarray(exact(nodes, t_eval), dtype=float)
+
+    return _error_report(solution.config, time, n_nodes, difference)

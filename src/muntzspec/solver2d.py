@@ -11,31 +11,36 @@ The fast path solves these real (N+1) x (N+1) systems by batched LU; modes
 (kx, ky) and (ky, kx) share one matrix, so each unordered pair is one solve
 with two right-hand sides.  The dense path solves the unrotated Kronecker
 system as one LU and serves as the independent cross-checking oracle.
+
+Both paths take the 1D solver's SolverConfig with dimension = 2 and share
+its residual tolerance, time-domain check and ErrorReport.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 # qz is unused here; it stays importable as solver2d.qz because the benchmark
 # tracer (bench/spans.py) wraps it, with eigh, lu_factor and lu_solve, by name.
 from scipy.linalg import eigh, lu_factor, lu_solve, qz  # noqa: F401
 
-from .assembly import (
-    ManufacturedProblem,
-    assemble_forcing_2d,
-    assemble_spatial,
-    assemble_temporal,
-)
+from .assembly import SourceTerm, assemble_forcing_2d, assemble_spatial, assemble_temporal
 from .basis import MuntzBasis, SpatialBasis, muntz_jacobi_table, spatial_table
 from .errors import NumericalFailure, ParameterDomainError
-from .solver1d import SolverConfig, _check_source, _residual_norm
+from .solver1d import (
+    RESIDUAL_TOL,
+    ErrorReport,
+    SolverConfig,
+    _check_source,
+    _error_report,
+    _residual_norm,
+    _unit_times,
+)
 
 __all__ = [
     "DENSE_SIZE_LIMIT",
-    "ErrorReport2D",
     "FourierLikeBasis",
     "Solution2D",
     "error_norms_2d",
@@ -47,7 +52,6 @@ __all__ = [
 ]
 
 DENSE_SIZE_LIMIT = 20000
-RESIDUAL_TOL = 1.0e-10
 # mode pairs per batched solve: bounds the stacked matrices to a few MB
 _PAIR_CHUNK = 256
 
@@ -103,17 +107,12 @@ class Solution2D:
     residual: float
 
 
-SourceTerm = Union[ManufacturedProblem, Callable[..., np.ndarray]]
-
-
 def _assemble_2d(config: SolverConfig, source: SourceTerm):
     if config.dimension != 2:
         raise ParameterDomainError("solve_2d needs a dimension-2 configuration")
     _check_source(config, source)
     fb = fourier_like_basis(config.m_space)
-    ops_t = assemble_temporal(
-        config.n_time, config.mu, config.lam, alpha=config.alpha, nhat=config.nhat
-    )
+    ops_t = assemble_temporal(config.n_time, config.mu, config.lam)
     st = ops_t.stiffness * config.t_end ** (-config.mu)
     f_plain = assemble_forcing_2d(source, fb.spatial, ops_t.basis, t_end=config.t_end)
     return fb, ops_t, st, ops_t.mass, f_plain
@@ -192,11 +191,7 @@ def evaluate_grid_2d(
     """Evaluate on the tensor grid, returning shape (len(t), len(x), len(y))."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    t_end = solution.config.t_end
-    if np.any(t < 0.0) or np.any(t > t_end):
-        raise ParameterDomainError(f"times must lie in [0, {t_end}]")
-    temporal = muntz_jacobi_table(solution.temporal, t / t_end)
+    temporal = muntz_jacobi_table(solution.temporal, _unit_times(t, solution.config.t_end))
     sx = sigma_table(solution.fourier, x)
     sy = sigma_table(solution.fourier, y)
     k = solution.fourier.weights.size
@@ -204,30 +199,17 @@ def evaluate_grid_2d(
     return sx.T @ slices @ sy
 
 
-@dataclass(frozen=True)
-class ErrorReport2D:
-    """Pointwise and RMS errors on the uniform interior tensor grid."""
-
-    l2: float
-    linf: float
-    time: float
-    n_nodes: int
-
-
 def error_norms_2d(
     solution: Solution2D,
     exact: Callable[..., np.ndarray],
     time: float | None = None,
     n_nodes: int = 101,
-) -> ErrorReport2D:
+) -> ErrorReport:
     """Errors against exact(x, t, y=y) on an n_nodes x n_nodes interior grid."""
-    if n_nodes < 1:
-        raise ParameterDomainError(f"node count must be positive, got {n_nodes}")
-    t_eval = solution.config.t_end if time is None else float(time)
-    nodes = np.linspace(-1.0, 1.0, n_nodes + 2)[1:-1]
-    approx = evaluate_grid_2d(solution, nodes, nodes, np.array([t_eval]))[0]
-    want = np.asarray(exact(nodes[:, None], t_eval, y=nodes[None, :]), dtype=float)
-    diff = approx - want
-    l2 = float(np.sqrt(np.mean(diff**2)))
-    linf = float(np.max(np.abs(diff)))
-    return ErrorReport2D(l2, linf, t_eval, n_nodes)
+
+    def difference(nodes, t_eval):
+        approx = evaluate_grid_2d(solution, nodes, nodes, np.array([t_eval]))[0]
+        want = exact(nodes[:, None], t_eval, y=nodes[None, :])
+        return approx - np.asarray(want, dtype=float)
+
+    return _error_report(solution.config, time, n_nodes, difference)

@@ -27,7 +27,7 @@ from muntzspec.assembly import (
     caputo_power,
     default_inner_points,
 )
-from muntzspec.basis import MuntzBasis, SpatialBasis, muntz_jacobi_eval, spatial_table
+from muntzspec.basis import MuntzBasis, SpatialBasis, muntz_jacobi_table, spatial_table
 from muntzspec.errors import ParameterDomainError, StructuralError
 from muntzspec.quadrature import gauss_jacobi
 
@@ -234,8 +234,8 @@ class TestTemporalOperators:
         for q in range(n + 1):
             for nn in range(q, n + 1):
                 val, err = quad(
-                    lambda s: muntz_jacobi_eval(basis, nn, s ** (1.0 / lam))
-                    * muntz_jacobi_eval(basis, q, s ** (1.0 / lam))
+                    lambda s: muntz_jacobi_table(basis, s ** (1.0 / lam))[nn]
+                    * muntz_jacobi_table(basis, s ** (1.0 / lam))[q]
                     / lam,
                     0.0,
                     1.0,
@@ -261,7 +261,7 @@ class TestTemporalOperators:
 
         for q in range(n + 1):
             val, err = quad(
-                lambda t: caputo_member(t) * muntz_jacobi_eval(basis, q, t),
+                lambda t: caputo_member(t) * muntz_jacobi_table(basis, t)[q],
                 0.0,
                 1.0,
                 epsabs=1e-12,
@@ -362,6 +362,17 @@ class TestManufacturedProblem:
             dict(mu=0.5, nu=1.0, dim=3),
             dict(mu=0.5, nu=1.0, dim=2, rho=1.0),
             dict(mu=0.5, nu=1.0, t_end=0.0),
+            # NaN fails no ordered comparison, so each check must be written
+            # to reject it; infinite parameters are out too
+            dict(mu=float("nan"), nu=1.0),
+            dict(mu=0.5, nu=float("nan")),
+            dict(mu=0.5, nu=float("inf")),
+            dict(mu=0.5, nu=1.0, kappa=float("nan")),
+            dict(mu=0.5, nu=1.0, kappa=float("inf")),
+            dict(mu=0.5, nu=1.0, rho=float("nan")),
+            dict(mu=0.5, nu=1.0, rho=float("inf")),
+            dict(mu=0.5, nu=1.0, t_end=float("nan")),
+            dict(mu=0.5, nu=1.0, t_end=float("inf")),
         ],
     )
     def test_domain_validation(self, kwargs):
@@ -380,7 +391,7 @@ class TestForcingAssembly:
         ops_t = assemble_temporal(5, 0.5, lam, alpha=alpha)
 
         def f(x, t):
-            return spatial_table(sb, np.asarray(x))[2] * muntz_jacobi_eval(tb, 2, t)
+            return spatial_table(sb, np.asarray(x))[2] * muntz_jacobi_table(tb, t)[2]
 
         F = assemble_forcing_1d(f, sb, tb)
         expected = np.outer(ops_t.mass[:, 2], ops_x.mass[2, :])
@@ -397,7 +408,7 @@ class TestForcingAssembly:
             return (
                 spatial_table(sb, np.asarray(x))[1]
                 * spatial_table(sb, np.asarray(y))[0]
-                * muntz_jacobi_eval(tb, 2, t)
+                * muntz_jacobi_table(tb, t)[2]
             )
 
         F = assemble_forcing_2d(f, sb, tb)

@@ -3,7 +3,9 @@
 Oracles used here: scipy.special.eval_jacobi and numpy.polynomial.legendre for
 polynomial values, Beta/Gamma closed forms for norms, Gauss quadrature for
 Gram matrices, and modified Gram-Schmidt on raw fractional monomials for the
-degenerate-parameter branch.
+degenerate-parameter branch.  The derivative tables below are test oracles:
+they are checked against numpy's Legendre derivatives and then show that the
+spatial basis has orthonormal derivatives (identity stiffness).
 """
 
 import math
@@ -16,19 +18,44 @@ from muntzspec import ParameterDomainError
 from muntzspec.basis import (
     MuntzBasis,
     SpatialBasis,
-    jacobi_eval,
     jacobi_table,
-    legendre_deriv_table,
     legendre_table,
-    muntz_jacobi_eval,
     muntz_jacobi_table,
     muntz_norm,
     muntz_project,
-    spatial_deriv_table,
-    spatial_second_deriv_table,
     spatial_table,
 )
 from muntzspec.quadrature import gauss_jacobi, gauss_jacobi_unit
+
+
+def legendre_deriv_table(nmax, x):
+    """First derivatives of L_0..L_nmax at x via L'_k = L'_{k-2} + (2k-1) L_{k-1}."""
+    x = np.asarray(x, dtype=float)
+    vals = legendre_table(max(nmax - 1, 0), x)
+    out = np.zeros((nmax + 1,) + x.shape)
+    if nmax >= 1:
+        out[1] = 1.0
+    for k in range(2, nmax + 1):
+        out[k] = out[k - 2] + (2.0 * k - 1.0) * vals[k - 1]
+    return out
+
+
+def spatial_deriv_table(basis, x):
+    """First derivatives; the Legendre difference telescopes to -c_m (2m+3) L_{m+1}."""
+    x = np.asarray(x, dtype=float)
+    leg = legendre_table(basis.m_legendre - 1, x)
+    nm = basis.n_modes
+    scale = -basis.coeffs * (2.0 * np.arange(nm) + 3.0)
+    return scale.reshape((nm,) + (1,) * x.ndim) * leg[1 : nm + 1]
+
+
+def spatial_second_deriv_table(basis, x):
+    """Second derivatives, from the derivative table of the Legendre family."""
+    x = np.asarray(x, dtype=float)
+    dleg = legendre_deriv_table(basis.m_legendre - 1, x)
+    nm = basis.n_modes
+    scale = -basis.coeffs * (2.0 * np.arange(nm) + 3.0)
+    return scale.reshape((nm,) + (1,) * x.ndim) * dleg[1 : nm + 1]
 
 
 class TestJacobiTable:
@@ -48,11 +75,13 @@ class TestJacobiTable:
 
     def test_endpoint_value_is_binomial(self):
         for n in range(8):
-            assert jacobi_eval(0.4, 1.3, n, 1.0) == pytest.approx(binom(n + 0.4, n), rel=1e-12)
+            value = jacobi_table(0.4, 1.3, n, 1.0)[n]
+            assert value == pytest.approx(binom(n + 0.4, n), rel=1e-12)
 
     def test_degree_one_closed_form(self):
         x = 0.37
-        assert jacobi_eval(0.2, 0.9, 1, x) == pytest.approx(0.5 * (0.2 + 0.9 + 2) * x + 0.5 * (0.2 - 0.9))
+        want = 0.5 * (0.2 + 0.9 + 2) * x + 0.5 * (0.2 - 0.9)
+        assert jacobi_table(0.2, 0.9, 1, x)[1] == pytest.approx(want)
 
     def test_legendre_value_at_half(self):
         assert legendre_table(2, np.array(0.5))[2] == pytest.approx(-0.125)
@@ -157,9 +186,9 @@ class TestMuntzJacobi:
             MuntzBasis(-1.5, 0.0, 0.5, 3)
         basis = MuntzBasis(0.5, -1.0, 0.5, 3)
         with pytest.raises(ParameterDomainError):
-            muntz_jacobi_eval(basis, 4, 0.5)
-        with pytest.raises(ParameterDomainError):
             muntz_jacobi_table(basis, np.array([-0.1]))
+        with pytest.raises(ParameterDomainError):
+            muntz_jacobi_table(basis, np.array([0.5, np.nan]))
 
 
 class TestMuntzProjection:
@@ -188,7 +217,7 @@ class TestMuntzProjection:
 
     def test_member_projects_to_unit_coefficient(self):
         basis = MuntzBasis(-1.0, 0.2, 0.6, 4)
-        coeffs, err = muntz_project(lambda t: muntz_jacobi_eval(basis, 2, t), basis, 48)
+        coeffs, err = muntz_project(lambda t: muntz_jacobi_table(basis, t)[2], basis, 48)
         expected = np.zeros(5)
         expected[2] = 1.0
         np.testing.assert_allclose(coeffs, expected, atol=1e-12)

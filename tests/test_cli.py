@@ -201,6 +201,27 @@ class TestSolveCommand:
         assert code == 2
         assert "0.01" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            "nu = 0.5\nt_end = inf\n",
+            "nu = 0.5\nkappa = nan\n",
+            "kappa = nan\nexact = none\nforcing = sin_pi_x_sin_pi_t\n",
+        ],
+        ids=["t_end_inf", "kappa_nan", "kappa_nan_expression_forcing"],
+    )
+    def test_non_finite_equation_parameter_exits_2(self, tmp_path, capsys, fields):
+        # these once exited 3 ("forcing evaluated non-finite") or 2 with a
+        # misleading config mismatch or scipy's "must not contain infs or NaNs"
+        path = write_config(
+            tmp_path,
+            "[problem]\nmu = 0.5\n" + fields
+            + "[discretization]\nM = 8\nN = 4\nlambda = 0.5\n"
+            + "[reference]\nM = 10\nN = 6\nlambda = 0.5\n",
+        )
+        assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_missing_model_file_exits_2(self, tmp_path):
         path = write_config(
             tmp_path,

@@ -138,9 +138,18 @@ class TestConfigValidation:
             dict(mu=0.5, lam=0.5, m_space=2),
             dict(mu=0.5, lam=0.5, n_time=-1),
             dict(mu=0.5, lam=0.5, t_end=0.0),
-            dict(mu=0.5, lam=0.5, alpha=-1.0),
             dict(mu=0.5, lam=0.5, dimension=3),
             dict(mu=0.5, lam=0.5, dimension=2, rho=1.0),
+            # NaN fails no ordered comparison, so each check must be written
+            # to reject it; infinite coefficients and final times are out too
+            dict(mu=float("nan"), lam=0.5),
+            dict(mu=0.5, lam=float("nan")),
+            dict(mu=0.5, lam=0.5, kappa=float("nan")),
+            dict(mu=0.5, lam=0.5, kappa=float("inf")),
+            dict(mu=0.5, lam=0.5, rho=float("nan")),
+            dict(mu=0.5, lam=0.5, rho=float("inf")),
+            dict(mu=0.5, lam=0.5, t_end=float("nan")),
+            dict(mu=0.5, lam=0.5, t_end=float("inf")),
         ],
     )
     def test_rejected(self, kwargs):
@@ -185,11 +194,17 @@ class TestEvaluation:
             evaluate_grid(sol, np.array([0.0]), np.array([1.5]))
         with pytest.raises(ParameterDomainError):
             evaluate_grid(sol, np.array([0.0]), np.array([-0.1]))
+        with pytest.raises(ParameterDomainError):
+            evaluate_grid(sol, np.array([0.0]), np.array([0.5, np.nan]))
+        with pytest.raises(ParameterDomainError):
+            error_norms(sol, ManufacturedProblem(mu=0.5, nu=1.5).exact, time=float("nan"))
 
     def test_space_domain_checked(self):
         sol = self.make_solution()
         with pytest.raises(ParameterDomainError):
             evaluate_grid(sol, np.array([1.01]), np.array([0.5]))
+        with pytest.raises(ParameterDomainError):
+            evaluate_grid(sol, np.array([0.2, np.nan]), np.array([0.5]))
 
     def test_error_report_fields(self):
         sol = self.make_solution()

@@ -12,9 +12,8 @@ from muntzspec import mltune, solver2d
 from muntzspec.assembly import ManufacturedProblem, TemporalOperators, caputo_power
 from muntzspec.errors import NumericalFailure, ParameterDomainError
 from muntzspec.quadrature import gauss_jacobi
-from muntzspec.solver1d import SolverConfig
+from muntzspec.solver1d import ErrorReport, SolverConfig
 from muntzspec.solver2d import (
-    ErrorReport2D,
     error_norms_2d,
     evaluate_grid_2d,
     fourier_like_basis,
@@ -251,12 +250,17 @@ class TestEvaluation2D:
         sol = self.make_solution()
         with pytest.raises(ParameterDomainError):
             evaluate_grid_2d(sol, np.array([0.0]), np.array([0.0]), np.array([1.2]))
+        with pytest.raises(ParameterDomainError):
+            evaluate_grid_2d(sol, np.array([0.0]), np.array([0.0]), np.array([np.nan]))
+        prob = ManufacturedProblem(mu=0.5, nu=1.5, rho=0.0, dim=2)
+        with pytest.raises(ParameterDomainError):
+            error_norms_2d(sol, prob.exact, time=float("nan"))
 
     def test_error_report_fields(self):
         sol = self.make_solution()
         prob = ManufacturedProblem(mu=0.5, nu=1.5, rho=0.0, dim=2)
         rep = error_norms_2d(sol, prob.exact, n_nodes=31)
-        assert isinstance(rep, ErrorReport2D)
+        assert isinstance(rep, ErrorReport)
         assert rep.n_nodes == 31
         assert rep.time == 1.0
         assert rep.l2 <= rep.linf
