@@ -82,13 +82,13 @@ def _check_equation(mu: float, kappa: float, rho: float, dim: int, t_end: float)
 def caputo_power(mu: float, nu: float, t):
     """Caputo derivative of order mu of t^nu: Gamma(nu+1)/Gamma(nu+1-mu) t^(nu-mu).
 
-    Requires 0 < mu < 1 and nu > 0.  At t = 0 the value follows the power:
+    Requires 0 < mu < 1 and a finite nu > 0.  At t = 0 the value follows the power:
     zero for nu > mu, Gamma(nu+1) for nu = mu, +inf for nu < mu.
     """
     if not 0.0 < mu < 1.0:
         raise ParameterDomainError(f"fractional order must lie in (0, 1), got {mu}")
-    if nu <= 0.0:
-        raise ParameterDomainError(f"power-rule exponent must be positive, got {nu}")
+    if not 0.0 < nu < math.inf:
+        raise ParameterDomainError(f"power-rule exponent must be positive and finite, got {nu}")
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0):
         raise ParameterDomainError("time values must be nonnegative")

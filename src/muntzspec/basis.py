@@ -89,9 +89,9 @@ class MuntzBasis:
     nmax: int
 
     def __post_init__(self) -> None:
-        if self.alpha < -1.0 or self.beta < -1.0:
+        if not (-1.0 <= self.alpha < math.inf and -1.0 <= self.beta < math.inf):
             raise ParameterDomainError(
-                f"parameters must be >= -1, got alpha={self.alpha}, beta={self.beta}"
+                f"parameters must be finite and >= -1, got alpha={self.alpha}, beta={self.beta}"
             )
         if not (0.0 < self.lam <= 1.0):
             raise ParameterDomainError(f"exponent scale must lie in (0, 1], got {self.lam}")

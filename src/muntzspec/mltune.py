@@ -99,8 +99,8 @@ class TrainingConfig:
             raise ParameterDomainError("grid counts, batch size, epochs and restarts must be positive")
         if min(self.hidden_layers, self.hidden_width) < 1:
             raise ParameterDomainError("network needs at least one hidden layer and unit")
-        if not 0.0 < self.lr_min <= self.lr_base:
-            raise ParameterDomainError("learning rates must satisfy 0 < lr_min <= lr_base")
+        if not 0.0 < self.lr_min <= self.lr_base < math.inf:
+            raise ParameterDomainError("learning rates must satisfy 0 < lr_min <= lr_base < inf")
         if self.t0 < 1 or self.t_mult < 1:
             raise ParameterDomainError("scheduler cycle constants must be positive")
         if not 0.0 < self.fd_step < 0.01:
@@ -112,6 +112,17 @@ class TrainingConfig:
             )
         if self.workers < 1:
             raise ParameterDomainError("worker count must be positive")
+        # each range check is written so that NaN and infinite values fail it
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ParameterDomainError(
+                f"Adam decay rates must lie in [0, 1), got beta1={self.beta1}, beta2={self.beta2}"
+            )
+        if not 0.0 < self.eps < math.inf:
+            raise ParameterDomainError(f"Adam epsilon must be positive and finite, got {self.eps}")
+        if not 0.0 <= self.negative_slope < 1.0:
+            raise ParameterDomainError(
+                f"Leaky ReLU slope must lie in [0, 1), got {self.negative_slope}"
+            )
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:

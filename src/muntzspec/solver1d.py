@@ -7,8 +7,13 @@ rows and spatial index across the columns.  Galerkin testing yields
 
 where St carries the Caputo pairing scaled by t_end^(-mu) (the solve runs on
 the unit reference interval) and Cx^T puts the derivative on the trial side.
-The system is solved once as a dense Kronecker matrix with an LU
-factorization plus a 1-norm condition estimate.
+Ordered space-major (the Fortran-order ravel of U), the system matrix
+Mx (x) St + kappa I (x) Mt + rho Cx (x) Mt is block-pentadiagonal: the mass Mx
+couples spatial modes k and k +- 2, the convection Cx couples k and k +- 1.
+Its blocks are written straight into LAPACK band storage with
+kl = ku = 3(N+1) - 1 and solved by one banded partial-pivot LU (gbtrf/gbtrs)
+plus the LU's 1-norm condition estimate (gbcon); the dense n x n matrix is
+never formed.
 
 SolverConfig carries the equation (validated by the same check as the
 manufactured problems) and the discretization (lam, M, N); the temporal
@@ -23,7 +28,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg import get_lapack_funcs
+# lu_factor and lu_solve are unused here; they stay importable as
+# solver1d.lu_factor/lu_solve because the benchmark tracer (bench/spans.py)
+# wraps them by name.
+from scipy.linalg import lu_factor, lu_solve  # noqa: F401
 
 from .assembly import (
     ManufacturedProblem,
@@ -111,15 +121,6 @@ def _check_source(config: SolverConfig, source: SourceTerm) -> None:
             )
 
 
-def _condition_estimate(matrix: np.ndarray, lu: np.ndarray) -> float:
-    gecon, = get_lapack_funcs(("gecon",), (matrix,))
-    anorm = np.linalg.norm(matrix, 1)
-    rcond, info = gecon(lu, anorm, norm="1")
-    if info != 0:
-        raise NumericalFailure(f"condition estimator failed with info={info}")
-    return float(1.0 / rcond) if rcond > 0.0 else np.inf
-
-
 def _check_conditioning(cond: float, shape: str) -> bool:
     """Warn above the first tier; an estimate above the second tier only
     becomes an error if the computed residual confirms the breakdown."""
@@ -146,11 +147,57 @@ def _check_residual(residual: float, cond: float, warned: bool) -> None:
     raise NumericalFailure(f"solve residual {residual:.3e} exceeds {tol:.0e}")
 
 
-def _check_pivots(lu: np.ndarray) -> None:
-    diag = np.abs(np.diag(lu))
-    if not np.all(np.isfinite(diag)) or diag.min() == 0.0:
-        ratio = 0.0 if diag.max() == 0.0 else diag.min() / diag.max()
-        raise NumericalFailure(f"singular system: pivot ratio {ratio:.3e}")
+def _band_system(st, mt, mx, cx, kappa: float, rho: float) -> tuple[np.ndarray, int]:
+    """Mx (x) St + kappa I (x) Mt + rho Cx (x) Mt in LAPACK band storage.
+
+    Entry (i, j) sits at row 2 kl + i - j of column j, with kl = ku = 3(N+1) - 1;
+    the top kl rows stay zero for the fill-in of the pivoted LU.  The array is
+    Fortran-ordered, so LAPACK takes it without a copy.
+    """
+    n1, k = st.shape[0], mx.shape[0]
+    kl = 3 * n1 - 1
+    rows = 3 * kl + 1
+    ab = np.zeros((rows, k * n1), order="F")
+    # view[e, n, c, m] is entry (n, m) of block (c + e - 2, c): column m of
+    # block column c holds its five blocks stacked, starting at row 4 n1 - 2 - m.
+    # The last element it reaches is row 8 n1 - 2 of the last column, inside ab.
+    item = ab.itemsize
+    view = as_strided(
+        ab[4 * n1 - 2 :],
+        shape=(5, n1, k, n1),
+        strides=(n1 * item, item, n1 * rows * item, (rows - 1) * item),
+    )
+    for e in range(5):
+        d = 2 - e  # block (j, j + d)
+        c = np.arange(max(0, d), min(k, k + d))
+        if c.size == 0:
+            continue
+        j = c - d
+        scale_s = mx[j, c]
+        scale_m = rho * cx[j, c] + (kappa if d == 0 else 0.0)
+        blocks = scale_s[:, None, None] * st + scale_m[:, None, None] * mt
+        view[e, :, c[0] : c[-1] + 1, :] = blocks.transpose(1, 0, 2)
+    return ab, kl
+
+
+def _banded_solve(ab: np.ndarray, kl: int, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve the band system by pivoted LU; returns the solution and the
+    1-norm condition estimate."""
+    gbtrf, gbtrs, gbcon = get_lapack_funcs(("gbtrf", "gbtrs", "gbcon"), (ab,))
+    anorm = float(np.abs(ab[kl:]).sum(axis=0).max())
+    lu, piv, info = gbtrf(ab, kl, kl, overwrite_ab=True)
+    if info > 0:
+        raise NumericalFailure(f"singular system: zero pivot at row {info}")
+    if info < 0:
+        raise NumericalFailure(f"banded LU failed with info={info}")
+    rcond, info = gbcon(kl, kl, lu, piv, anorm, norm="1")
+    if info != 0:
+        raise NumericalFailure(f"condition estimator failed with info={info}")
+    vec, info = gbtrs(lu, kl, kl, rhs, piv)
+    if info != 0:
+        raise NumericalFailure(f"banded solve failed with info={info}")
+    cond = float(1.0 / rcond) if rcond > 0.0 else np.inf
+    return vec, cond
 
 
 def _residual_norm(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -172,16 +219,9 @@ def solve_1d(config: SolverConfig, source: SourceTerm) -> SpectralSolution:
     forcing = assemble_forcing_1d(
         source, ops_x.basis, ops_t.basis, t_end=config.t_end
     )
-    system = (
-        np.kron(mx, st)
-        + config.kappa * np.kron(np.eye(mx.shape[0]), mt)
-        + config.rho * np.kron(cx, mt)
-    )
-    lu, piv = lu_factor(system)
-    _check_pivots(lu)
-    cond = _condition_estimate(system, lu)
+    ab, kl = _band_system(st, mt, mx, cx, config.kappa, config.rho)
+    vec, cond = _banded_solve(ab, kl, forcing.ravel(order="F"))
     warned = _check_conditioning(cond, "1D")
-    vec = lu_solve((lu, piv), forcing.ravel(order="F"))
     coeffs = vec.reshape(forcing.shape, order="F")
     applied = st @ coeffs @ mx + config.kappa * mt @ coeffs + config.rho * mt @ coeffs @ cx.T
     residual = _residual_norm(applied, forcing)

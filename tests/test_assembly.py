@@ -124,7 +124,16 @@ class TestCaputoPower:
         )
 
     @pytest.mark.parametrize(
-        "mu,nu", [(0.0, 0.5), (1.0, 0.5), (1.3, 0.5), (0.5, 0.0), (0.5, -1.0)]
+        "mu,nu",
+        [
+            (0.0, 0.5),
+            (1.0, 0.5),
+            (1.3, 0.5),
+            (0.5, 0.0),
+            (0.5, -1.0),
+            (0.5, float("nan")),
+            (0.5, float("inf")),
+        ],
     )
     def test_domain_validation(self, mu, nu):
         with pytest.raises(ParameterDomainError):

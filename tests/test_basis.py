@@ -184,6 +184,12 @@ class TestMuntzJacobi:
             MuntzBasis(0.5, -1.0, 1.2, 3)
         with pytest.raises(ParameterDomainError):
             MuntzBasis(-1.5, 0.0, 0.5, 3)
+        with pytest.raises(ParameterDomainError):
+            MuntzBasis(float("nan"), -1.0, 0.5, 3)
+        with pytest.raises(ParameterDomainError):
+            MuntzBasis(0.5, float("nan"), 0.5, 3)
+        with pytest.raises(ParameterDomainError):
+            MuntzBasis(float("inf"), -1.0, 0.5, 3)
         basis = MuntzBasis(0.5, -1.0, 0.5, 3)
         with pytest.raises(ParameterDomainError):
             muntz_jacobi_table(basis, np.array([-0.1]))

@@ -6,6 +6,7 @@ import pathlib
 
 import muntzspec
 import muntzspec.cli  # noqa: F401  (the tracer wraps cli names too)
+from muntzspec.assembly import ManufacturedProblem
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -32,3 +33,21 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     for (module, attr), original in originals.items():
         assert getattr(getattr(muntzspec, module), attr) is original
+
+
+def test_solve_1d_records_lapack_spans():
+    # the banded routines come from solver1d.get_lapack_funcs, which the tracer
+    # wraps together with every routine it returns; imported directly they
+    # would leave solver1d.lapack_s at zero
+    spans = load_spans()
+    tracer = spans.Tracer(muntzspec)
+    tracer.install()
+    try:
+        config = muntzspec.solver1d.SolverConfig(mu=0.5, lam=0.5, m_space=12, n_time=6)
+        muntzspec.solver1d.solve_1d(config, ManufacturedProblem(mu=0.5, nu=1.5))
+    finally:
+        tracer.uninstall()
+    lapack = [span for span in tracer.spans if span[:2] == ["lapack", "solver1d"]]
+    # the lookup plus gbtrf, gbcon and gbtrs
+    assert len(lapack) >= 4
+    assert tracer.layer_metrics(1, 1.0)["solver1d.lapack_s"] > 0.0

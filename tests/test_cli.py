@@ -433,6 +433,15 @@ class TestTrainCommand:
         path = write_config(tmp_path, "[training]\nepochs = 0\n")
         assert cli.main(["train", "--config", path, "--out", str(tmp_path)]) == 2
 
+    def test_non_finite_optimizer_setting_exits_2_before_solving(self, tmp_path, monkeypatch):
+        # a NaN decay rate once ran every dataset solve and exited 3
+        def no_solve(*args, **kwargs):
+            raise AssertionError("train solved before rejecting its configuration")
+
+        monkeypatch.setattr(mltune, "solve_1d", no_solve)
+        path = write_config(tmp_path, TRAIN_MINI + "    beta1 = nan\n")
+        assert cli.main(["train", "--config", path, "--out", str(tmp_path)]) == 2
+
 
 class TestPredictCommand:
     def zero_model(self, tmp_path):

@@ -248,6 +248,15 @@ class TestTrainingConfig:
             dict(t0=0),
             dict(workers=0),
             dict(hidden_layers=0),
+            dict(beta1=float("nan")),
+            dict(beta1=1.0),
+            dict(beta2=-0.1),
+            dict(beta2=float("inf")),
+            dict(eps=0.0),
+            dict(eps=float("nan")),
+            dict(negative_slope=1.0),
+            dict(negative_slope=float("nan")),
+            dict(lr_base=float("inf")),
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -1,17 +1,31 @@
-"""1D solver tests built on trial-space exactness.
+"""1D solver tests built on trial-space exactness and a dense oracle.
 
 When the exact solution lies in the discrete tensor space and the forcing is
 assembled consistently, the Galerkin solve must reproduce it to solver
 precision; the reference solutions below are built from numpy Legendre
 polynomials and the closed-form Caputo power rule, independent of the
-package's basis tables.
+package's basis tables.  The banded solve is also checked against the dense
+Kronecker system, factored by a dense LU.
 """
+
+import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
-from muntzspec.assembly import ManufacturedProblem, caputo_power
+import muntzspec
+from muntzspec import mltune, solver1d
+from muntzspec.assembly import (
+    ManufacturedProblem,
+    TemporalOperators,
+    assemble_forcing_1d,
+    assemble_spatial,
+    assemble_temporal,
+    caputo_power,
+)
 from muntzspec.errors import NumericalFailure, ParameterDomainError
 from muntzspec.solver1d import (
     ErrorReport,
@@ -20,6 +34,53 @@ from muntzspec.solver1d import (
     evaluate_grid,
     solve_1d,
 )
+
+MODELS_DIR = pathlib.Path(muntzspec.__file__).resolve().parent / "models"
+
+
+def packaged_lambdas(mu):
+    """(ANN λ, spline λ) of the packaged tuners at order mu."""
+    net, _ = mltune.load_model(str(MODELS_DIR / "reference_ann.json"))
+    spline = mltune.load_spline(str(MODELS_DIR / "reference_spline.json"))
+    return mltune.forward(net, mu), float(mltune.spline_predict(spline, mu))
+
+
+def dense_operators(cfg):
+    """The space-major Kronecker matrix Mx (x) St + kappa I (x) Mt + rho Cx (x) Mt,
+    with the spatial and temporal operators it is built from."""
+    ops_x = assemble_spatial(cfg.m_space)
+    ops_t = assemble_temporal(cfg.n_time, cfg.mu, cfg.lam)
+    st = ops_t.stiffness * cfg.t_end ** (-cfg.mu)
+    mt = ops_t.mass
+    system = (
+        np.kron(ops_x.mass, st)
+        + cfg.kappa * np.kron(np.eye(ops_x.mass.shape[0]), mt)
+        + cfg.rho * np.kron(ops_x.convection, mt)
+    )
+    return system, ops_x, ops_t
+
+
+def dense_solve(cfg, source):
+    """Oracle: dense LU of the Kronecker system; returns the coefficient
+    matrix and the 1-norm condition estimate of the dense LU (gecon)."""
+    system, ops_x, ops_t = dense_operators(cfg)
+    forcing = assemble_forcing_1d(source, ops_x.basis, ops_t.basis, t_end=cfg.t_end)
+    lu, piv = lu_factor(system)
+    gecon, = get_lapack_funcs(("gecon",), (system,))
+    rcond, info = gecon(lu, np.linalg.norm(system, 1), norm="1")
+    assert info == 0
+    vec = lu_solve((lu, piv), forcing.ravel(order="F"))
+    return vec.reshape(forcing.shape, order="F"), 1.0 / rcond
+
+
+def band_to_dense(ab, kl):
+    """Expand LAPACK band storage with kl = ku and kl fill-in rows."""
+    n = ab.shape[1]
+    i, j = np.indices((n, n))
+    inside = np.abs(i - j) <= kl
+    dense = np.zeros((n, n))
+    dense[inside] = ab[2 * kl + i[inside] - j[inside], j[inside]]
+    return dense
 
 
 def legendre_mode(m):
@@ -123,6 +184,88 @@ class TestSolve1D:
         assert sol.cond_warning is False
         assert sol.coeffs.shape == (7, 11)
         assert not sol.coeffs.flags.writeable
+
+
+class TestBandedAgainstDenseOracle:
+    @pytest.mark.parametrize(
+        "m,n,kappa,rho",
+        [(8, 4, 1.3, 0.8), (8, 4, 1.0, 0.0), (3, 5, 0.7, 1.2), (3, 0, 1.0, 0.0), (6, 0, 2.0, 0.5)],
+    )
+    def test_band_storage_is_the_kronecker_matrix(self, m, n, kappa, rho):
+        # M = 3 leaves two spatial modes, so no block at offset +-2
+        cfg = SolverConfig(mu=0.4, lam=0.6, kappa=kappa, rho=rho, m_space=m, n_time=n, t_end=1.7)
+        system, ops_x, ops_t = dense_operators(cfg)
+        st = ops_t.stiffness * cfg.t_end ** (-cfg.mu)
+        ab, kl = solver1d._band_system(
+            st, ops_t.mass, ops_x.mass, ops_x.convection, cfg.kappa, cfg.rho
+        )
+        assert kl == 3 * (n + 1) - 1
+        assert ab.shape == (3 * kl + 1, system.shape[0])
+        assert not ab[:kl].any()  # fill-in rows start empty
+        i, j = np.indices(system.shape)
+        assert not system[np.abs(i - j) > kl].any()  # nothing lies outside the band
+        # the blocks are summed as mx st + (rho cx + kappa) mt, so entries may
+        # differ from the Kronecker sums in the last bit
+        np.testing.assert_allclose(
+            band_to_dense(ab, kl), system, rtol=0.0, atol=1e-15 * np.abs(system).max()
+        )
+
+    @pytest.mark.parametrize("mu", [0.12, 0.5, 0.85])
+    def test_coefficients_match_at_lambda_one_and_spline_lambda(self, mu):
+        # two pivot orders may differ by up to cond * eps in the coefficients;
+        # at N = 8 the condition estimate stays below 1e7
+        prob = ManufacturedProblem(mu=mu, nu=1.0 - mu)
+        _, spline_lam = packaged_lambdas(mu)
+        for lam in (1.0, spline_lam):
+            cfg = SolverConfig(mu=mu, lam=lam, m_space=16, n_time=8)
+            got = solve_1d(cfg, prob).coeffs
+            want, _ = dense_solve(cfg, prob)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.filterwarnings("ignore:1D system condition estimate")
+    @pytest.mark.parametrize("mu", [0.12, 0.5, 0.85])
+    def test_physical_values_match_at_ann_lambda(self, mu):
+        # the condition estimate reaches 5e14 here (and 1e19-1e21 at M = N =
+        # 32..48), where the pivot order alone moves the raw coefficients; the
+        # solutions are compared as functions on a grid instead
+        lam, _ = packaged_lambdas(mu)
+        cfg = SolverConfig(mu=mu, lam=lam, m_space=16, n_time=16)
+        prob = ManufacturedProblem(mu=mu, nu=1.0 - mu)
+        banded = solve_1d(cfg, prob)
+        dense = dataclasses.replace(banded, coeffs=dense_solve(cfg, prob)[0])
+        xs = np.linspace(-0.95, 0.95, 21)
+        ts = np.array([0.1, 0.5, 1.0])
+        got, want = evaluate_grid(banded, xs, ts), evaluate_grid(dense, xs, ts)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_condition_estimate_matches_dense_gecon(self):
+        cfg = SolverConfig(mu=0.2, lam=1.0, m_space=32, n_time=32)
+        prob = ManufacturedProblem(mu=0.2, nu=0.8)
+        _, want = dense_solve(cfg, prob)
+        got = solve_1d(cfg, prob).cond_estimate
+        assert got == pytest.approx(want, rel=0.01)
+
+    def test_zero_pivot_raises_numerical_failure(self, monkeypatch):
+        def zero_operators(n, mu, lam, **kwargs):
+            ops = original(n, mu, lam, **kwargs)
+            zero = np.zeros_like(ops.mass)
+            return TemporalOperators(ops.basis, ops.mu, ops.nhat, zero, zero)
+
+        original = solver1d.assemble_temporal
+        monkeypatch.setattr(solver1d, "assemble_temporal", zero_operators)
+        cfg = SolverConfig(mu=0.5, lam=0.5, m_space=6, n_time=3)
+        with pytest.raises(NumericalFailure, match="zero pivot"):
+            solve_1d(cfg, ManufacturedProblem(mu=0.5, nu=1.5))
+
+    def test_no_dense_factorization(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_1d fell back to a dense LU")
+
+        monkeypatch.setattr(solver1d, "lu_factor", refuse)
+        monkeypatch.setattr(solver1d, "lu_solve", refuse)
+        prob = ManufacturedProblem(mu=0.5, nu=1.5)
+        sol = solve_1d(SolverConfig(mu=0.5, lam=0.5, m_space=20, n_time=4), prob)
+        assert error_norms(sol, prob.exact).linf <= 1e-10
 
 
 class TestConfigValidation:
