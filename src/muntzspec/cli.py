@@ -13,7 +13,7 @@ import configparser
 import os
 import pathlib
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -25,15 +25,6 @@ from .solver2d import error_norms_2d, evaluate_grid_2d, solve_2d
 
 THREADS_ENV = "MUNTZSPEC_THREADS"
 PACKAGED_TOKEN = "packaged"
-
-_TRAINING_INT_FIELDS = {
-    "n_mu", "n_nu", "batch_size", "epochs", "restarts", "t0", "t_mult",
-    "seed", "hidden_layers", "hidden_width", "workers",
-}
-_TRAINING_FLOAT_FIELDS = {
-    "lr_base", "beta1", "beta2", "eps", "lr_min", "fd_step",
-    "clamp_lo", "clamp_hi", "negative_slope",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +145,15 @@ def parse_run_config(path: str) -> RunConfig:
 
 
 def build_training_config(raw: dict, workers_env: int | None = None) -> mltune.TrainingConfig:
-    """Typed TrainingConfig from the [training] section; unknown keys are
-    rejected to catch typos."""
+    """Typed TrainingConfig from the [training] section, each key cast to the
+    type of its field's default; unknown keys are rejected to catch typos."""
+    casts = {f.name: type(f.default) for f in fields(mltune.TrainingConfig)}
     kwargs = {}
     for key, value in raw.items():
-        if key in _TRAINING_INT_FIELDS:
-            cast = int
-        elif key in _TRAINING_FLOAT_FIELDS:
-            cast = float
-        else:
+        if key not in casts:
             raise StructuralError(f"unknown training key '{key}'")
         try:
-            kwargs[key] = cast(value)
+            kwargs[key] = casts[key](value)
         except ValueError as exc:
             raise StructuralError(f"training key '{key}': {exc}") from exc
     if workers_env is not None and "workers" not in kwargs:
@@ -356,8 +344,8 @@ def _parse_sweep(text: str):
 
 
 def _env_threads() -> int | None:
-    """The positive count in MUNTZSPEC_THREADS, or None when it is unset or
-    empty."""
+    """The positive count in MUNTZSPEC_THREADS, train's default worker count,
+    or None when it is unset or empty."""
     raw = os.environ.get(THREADS_ENV, "").strip()
     if not raw:
         return None
@@ -370,32 +358,14 @@ def _env_threads() -> int | None:
     return count
 
 
-def _sweep_job(job):
-    run, disc, lam = job
-    return _solve_row(run, disc, lam)
-
-
 def cmd_convergence(args) -> int:
     run = parse_run_config(args.config)
     problem = _require(run.problem, "problem")
     disc = _require(run.discretization, "discretization")
     axis, points = _parse_sweep(args.sweep)
     lam = resolve_lambda(disc.lambda_source, problem.mu, run.base_dir)
-    jobs = []
-    for value in points:
-        if axis == "N":
-            varied = DiscretizationSpec(disc.m_space, value, disc.lambda_source)
-        else:
-            varied = DiscretizationSpec(value, disc.n_time, disc.lambda_source)
-        jobs.append((run, varied, lam))
-    threads = _env_threads() or os.cpu_count() or 1
-    if threads > 1 and len(jobs) > 1:
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(min(threads, len(jobs))) as pool:
-            rows = pool.map(_sweep_job, jobs)
-    else:
-        rows = [_sweep_job(job) for job in jobs]
+    size = "n_time" if axis == "N" else "m_space"
+    rows = [_solve_row(run, replace(disc, **{size: value}), lam) for value in points]
     out = _out_dir(run, args) / "errors.csv"
     write_csv(out, ERRORS_HEADER, rows)
     print(f"wrote {out}: {len(rows)} rows over {axis}={points}")

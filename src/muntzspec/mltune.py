@@ -5,9 +5,13 @@ solver in the loop, plus a per-order optimized cubic-spline baseline.
 The loss of a sample (mu, nu) is the nodal solution error of the solve at
 the predicted lambda divided by the error of the classical lambda = 1 solve
 for the same sample; the denominator is lambda-independent and cached with
-the dataset.  The gradient with respect to lambda is a central finite
-difference (two extra small solves), chained into analytic backpropagation
-through the network.
+the dataset.  One loop, `_ratios`, turns solves into these ratios for the
+batch loss, its gradient and the spline's profile loss; a failed solve gives
+NaN, is logged as excluded and leaves its sample out of the mean.  The
+gradient with respect to lambda is a central finite difference (two extra
+small solves), chained into analytic backpropagation through the network.
+One bias-corrected Adam update (`adam_step`) descends both the network's
+weights and the spline baseline's per-knot lambda.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -53,7 +57,6 @@ __all__ = [
     "load_model",
     "load_spline",
     "sample_error",
-    "sample_ratio",
     "save_dataset",
     "save_model",
     "save_spline",
@@ -224,47 +227,36 @@ def backprop(net: Network, mu: np.ndarray, upstream: np.ndarray):
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and the step counter."""
+    """First/second moment accumulators, one per parameter array, and the
+    step counter."""
 
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    m: list[np.ndarray]
+    v: list[np.ndarray]
     t: int = 0
 
     @classmethod
-    def for_network(cls, net: Network) -> "AdamState":
-        return cls(
-            [np.zeros_like(w) for w in net.weights],
-            [np.zeros_like(w) for w in net.weights],
-            [np.zeros_like(b) for b in net.biases],
-            [np.zeros_like(b) for b in net.biases],
-        )
+    def for_params(cls, params: list[np.ndarray]) -> "AdamState":
+        return cls([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
 
 
 def adam_step(
     state: AdamState,
-    net: Network,
-    grads_w: list[np.ndarray],
-    grads_b: list[np.ndarray],
+    params: list[np.ndarray],
+    grads: list[np.ndarray],
     lr: float,
     config: TrainingConfig,
 ) -> None:
-    """Standard bias-corrected Adam update, in place."""
+    """Standard bias-corrected Adam update of each parameter array, in place."""
     state.t += 1
     b1, b2, eps = config.beta1, config.beta2, config.eps
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    for params, grads, ms, vs in (
-        (net.weights, grads_w, state.m_w, state.v_w),
-        (net.biases, grads_b, state.m_b, state.v_b),
-    ):
-        for p, g, m, v in zip(params, grads, ms, vs):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def cawr_lr(epoch: int, config: TrainingConfig) -> float:
@@ -305,15 +297,7 @@ class SolverContext:
     t_end: float = 1.0
 
     def solver_config(self, mu: float, lam: float) -> SolverConfig:
-        return SolverConfig(
-            mu=mu,
-            lam=lam,
-            kappa=self.kappa,
-            rho=self.rho,
-            m_space=self.m_space,
-            n_time=self.n_time,
-            t_end=self.t_end,
-        )
+        return SolverConfig(mu=mu, lam=lam, **asdict(self))
 
 
 def _error_grid(context: SolverContext, lam: float):
@@ -335,14 +319,37 @@ def sample_error(context: SolverContext, mu: float, nu: float, lam: float) -> fl
     return float(np.linalg.norm(approx - exact))
 
 
-def sample_ratio(
-    context: SolverContext, mu: float, nu: float, lam: float, ref_error: float
-) -> float:
-    """Normalized sample error: solve error at lam over the cached lam = 1
-    reference error."""
-    if ref_error <= 0.0:
-        raise StructuralError(f"reference error must be positive, got {ref_error}")
-    return sample_error(context, mu, nu, lam) / ref_error
+def _check_ref_errors(ref_error: np.ndarray) -> None:
+    # written so that NaN fails the comparison
+    if not np.all((ref_error > 0.0) & (ref_error < math.inf)):
+        raise StructuralError("reference errors must be positive and finite")
+
+
+def _ratios(context: SolverContext, mu, nu, lams, ref_error) -> np.ndarray:
+    """Normalized sample errors: the solve error at each sample's lambda over
+    its cached lambda = 1 reference error.  Arguments broadcast to one flat
+    sample axis; a failed solve gives NaN and is logged as excluded."""
+    mu, nu, lams, ref_error = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (mu, nu, lams, ref_error))
+    )
+    _check_ref_errors(ref_error)
+    errors = np.full(mu.shape, np.nan)
+    for i in range(mu.size):
+        try:
+            errors[i] = sample_error(context, mu[i], nu[i], lams[i])
+        except (NumericalFailure, ParameterDomainError) as exc:
+            logger.warning(
+                "sample (mu=%.6g, nu=%.6g, lam=%.6g) excluded: %s", mu[i], nu[i], lams[i], exc
+            )
+    return errors / ref_error
+
+
+def _mean_kept(ratios: np.ndarray, failure: str) -> float:
+    """Mean over the samples that solved; raises when none did."""
+    kept = ratios[~np.isnan(ratios)]
+    if kept.size == 0:
+        raise NumericalFailure(failure)
+    return float(np.mean(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +375,9 @@ class Dataset:
         if not (self.mu.shape == self.nu.shape == self.ref_error.shape == (n,)):
             raise StructuralError("sample arrays must be flat with tensorial length")
         for name, arr in (("mu", self.mu), ("nu", self.nu)):
-            if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+            if not np.all((arr > 0.0) & (arr < 1.0)):
                 raise StructuralError(f"{name} samples must lie strictly inside (0, 1)")
+        _check_ref_errors(self.ref_error)
 
     @property
     def size(self) -> int:
@@ -438,14 +446,6 @@ def _clamp_lambda(lam: np.ndarray, config: TrainingConfig) -> np.ndarray:
     return np.clip(lam, config.clamp_lo, config.clamp_hi)
 
 
-def _safe_ratio(context, mu, nu, lam, ref):
-    try:
-        return sample_ratio(context, mu, nu, lam, ref)
-    except (NumericalFailure, ParameterDomainError) as exc:
-        logger.warning("sample (mu=%.6g, nu=%.6g, lam=%.6g) excluded: %s", mu, nu, lam, exc)
-        return None
-
-
 def batch_loss(
     net: Network,
     mu: np.ndarray,
@@ -463,21 +463,12 @@ def batch_loss(
     lambdas used, per-sample ratios with NaN marking excluded samples).
     """
     mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    ref_error = np.asarray(ref_error, dtype=float)
     if lambda_override is None:
         lams = _clamp_lambda(forward_batch(net, mu), config)
     else:
         lams = np.full(mu.shape, float(lambda_override))
-    ratios = np.full(mu.shape, np.nan)
-    for i in range(mu.size):
-        ratio = _safe_ratio(context, mu[i], nu[i], lams[i], ref_error[i])
-        if ratio is not None:
-            ratios[i] = ratio
-    ok = ~np.isnan(ratios)
-    if not np.any(ok):
-        raise NumericalFailure("every sample in the batch failed to solve")
-    return float(np.mean(ratios[ok])), lams, ratios
+    ratios = _ratios(context, mu, nu, lams, ref_error)
+    return _mean_kept(ratios, "every sample in the batch failed to solve"), lams, ratios
 
 
 def _loss_and_gradient(
@@ -491,33 +482,21 @@ def _loss_and_gradient(
     """Batch loss plus its gradient w.r.t. network parameters.
 
     dLoss/dlambda_i comes from a central finite difference (two extra
-    solves); the clamp passes the gradient straight through.
+    solves); the clamp passes the gradient straight through.  A sample is
+    left out of both when any of its three solves fails.
     """
-    raw = forward_batch(net, mu)
-    lams = _clamp_lambda(raw, config)
+    lams = _clamp_lambda(forward_batch(net, mu), config)
     h = config.fd_step
-    ratios = np.full(mu.shape, np.nan)
-    dratio = np.zeros(mu.shape)
-    for i in range(mu.size):
-        center = _safe_ratio(context, mu[i], nu[i], lams[i], ref_error[i])
-        if center is None:
-            continue
-        plus = _safe_ratio(context, mu[i], nu[i], lams[i] + h, ref_error[i])
-        minus = _safe_ratio(context, mu[i], nu[i], lams[i] - h, ref_error[i])
-        if plus is None or minus is None:
-            logger.warning(
-                "sample (mu=%.6g, nu=%.6g) excluded: perturbed solve failed", mu[i], nu[i]
-            )
-            continue
-        ratios[i] = center
-        dratio[i] = (plus - minus) / (2.0 * h)
+    ratios = _ratios(context, mu, nu, lams, ref_error)
+    plus = _ratios(context, mu, nu, lams + h, ref_error)
+    minus = _ratios(context, mu, nu, lams - h, ref_error)
+    dratio = (plus - minus) / (2.0 * h)
+    ratios[np.isnan(dratio)] = np.nan
+    loss = _mean_kept(ratios, "every sample in the batch failed to solve")
     ok = ~np.isnan(ratios)
-    if not np.any(ok):
-        raise NumericalFailure("every sample in the batch failed to solve")
-    n_ok = int(np.sum(ok))
-    upstream = np.where(ok, dratio, 0.0) / n_ok
+    upstream = np.where(ok, dratio, 0.0) / np.count_nonzero(ok)
     grads_w, grads_b = backprop(net, mu, upstream)
-    return float(np.mean(ratios[ok])), grads_w, grads_b
+    return loss, grads_w, grads_b
 
 
 @dataclass(frozen=True)
@@ -538,7 +517,8 @@ def _run_restart(args) -> tuple[Network, float, float, np.ndarray]:
     config, train_ds, val_ds, context, restart = args
     rng = np.random.default_rng((config.seed, restart))
     net = init_network(config.layer_sizes, config.negative_slope, rng)
-    state = AdamState.for_network(net)
+    params = net.weights + net.biases
+    state = AdamState.for_params(params)
     n_batches = train_ds.size // config.batch_size
     history = np.empty((config.epochs, 4))
     train_loss = val_loss = math.nan
@@ -552,7 +532,7 @@ def _run_restart(args) -> tuple[Network, float, float, np.ndarray]:
                 net, train_ds.mu[idx], train_ds.nu[idx], train_ds.ref_error[idx],
                 context, config,
             )
-            adam_step(state, net, grads_w, grads_b, lr, config)
+            adam_step(state, params, grads_w + grads_b, lr, config)
             batch_losses.append(loss)
         train_loss = float(np.mean(batch_losses))
         val_loss, _, _ = batch_loss(
@@ -660,14 +640,8 @@ class SplineModel:
 
 def _profile_loss(context, mu, nus, refs, lam):
     """Mean normalized error over the nu-profile at one (mu, lam)."""
-    ratios = []
-    for nu, ref in zip(nus, refs):
-        ratio = _safe_ratio(context, mu, nu, lam, ref)
-        if ratio is not None:
-            ratios.append(ratio)
-    if not ratios:
-        raise NumericalFailure(f"every profile solve failed at mu={mu:.6g}")
-    return float(np.mean(ratios))
+    ratios = _ratios(context, mu, nus, lam, refs)
+    return _mean_kept(ratios, f"every profile solve failed at mu={mu:.6g}")
 
 
 def _scalar_adam_lambda(
@@ -680,23 +654,21 @@ def _scalar_adam_lambda(
     hi: float,
     iterations: int,
 ) -> tuple[float, bool]:
-    """Per-order scalar Adam descent on the profile loss, central-difference
-    gradient, early stop after 30 consecutive improvements below 1e-8."""
-    lam = 0.5
-    m = v = 0.0
+    """Per-order Adam descent on the profile loss (the network's update on a
+    one-element parameter, clipped to [lo, hi] after each step),
+    central-difference gradient, early stop after 30 consecutive
+    improvements below 1e-8."""
+    lam = np.array([0.5])
+    state = AdamState.for_params([lam])
     h = config.fd_step
-    lr = config.lr_base
     best = math.inf
     small_improvements = 0
-    for it in range(1, iterations + 1):
-        plus = _profile_loss(context, mu, nus, refs, min(lam + h, 1.0))
-        minus = _profile_loss(context, mu, nus, refs, lam - h)
+    for _ in range(iterations):
+        plus = _profile_loss(context, mu, nus, refs, min(lam[0] + h, 1.0))
+        minus = _profile_loss(context, mu, nus, refs, lam[0] - h)
         grad = (plus - minus) / (2.0 * h)
-        m = config.beta1 * m + (1.0 - config.beta1) * grad
-        v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
-        mhat = m / (1.0 - config.beta1**it)
-        vhat = v / (1.0 - config.beta2**it)
-        lam = float(np.clip(lam - lr * mhat / (math.sqrt(vhat) + config.eps), lo, hi))
+        adam_step(state, [lam], [np.array([grad])], config.lr_base, config)
+        np.clip(lam, lo, hi, out=lam)
         current = 0.5 * (plus + minus)
         if best - current < 1e-8:
             small_improvements += 1
@@ -705,6 +677,7 @@ def _scalar_adam_lambda(
         else:
             small_improvements = 0
         best = min(best, current)
+    lam = float(lam[0])
     at_boundary = lam <= lo + 1e-12 or lam >= hi - 1e-12
     return lam, at_boundary
 
@@ -727,6 +700,10 @@ def spline_fit(
     config = config or TrainingConfig()
     if n_knots < 2:
         raise ParameterDomainError("spline needs at least two knots")
+    if n_nu < 1 or iterations < 1:
+        raise ParameterDomainError(
+            f"spline fit needs n_nu >= 1 and iterations >= 1, got {n_nu} and {iterations}"
+        )
     mu_knots = np.arange(1, n_knots + 1) / (n_knots + 1)
     nus = np.arange(1, n_nu + 1) / (n_nu + 1)
     lo = 0.01 + config.fd_step

@@ -162,6 +162,14 @@ class TestTrainingSection:
         with pytest.raises(StructuralError):
             cli.build_training_config({"epochs": "many"})
 
+    def test_every_config_field_is_a_typed_key(self):
+        import dataclasses
+
+        for field in dataclasses.fields(mltune.TrainingConfig):
+            cfg = cli.build_training_config({field.name: str(field.default)})
+            value = getattr(cfg, field.name)
+            assert type(value) is type(field.default) and value == field.default, field.name
+
     def test_env_workers_default(self):
         cfg = cli.build_training_config({"epochs": "2"}, workers_env=4)
         assert cfg.workers == 4
@@ -371,18 +379,25 @@ class TestConvergenceCommand:
         assert cli.main(["convergence", "--config", path, "--sweep", "K=4"]) == 2
         assert cli.main(["convergence", "--config", path, "--sweep", "N=a,b"]) == 2
 
-    def test_thread_env_validated(self, tmp_path, monkeypatch):
+    def test_sweep_ignores_thread_env(self, tmp_path, monkeypatch):
+        # the sweep runs serially and does not read the variable
         monkeypatch.setenv(cli.THREADS_ENV, "zero")
         path = write_config(tmp_path, SMOOTH_PROBLEM)
         assert cli.main(
             ["convergence", "--config", path, "--sweep", "N=2,4", "--out", str(tmp_path)]
-        ) == 2
-        monkeypatch.setenv(cli.THREADS_ENV, "1")
-        assert cli.main(
-            ["convergence", "--config", path, "--sweep", "N=2,4", "--out", str(tmp_path)]
         ) == 0
+        _, rows = read_rows(tmp_path / "errors.csv")
+        assert [r[4] for r in rows] == ["2", "4"]
+
+    def test_thread_env_validated(self, tmp_path, monkeypatch, capsys):
+        path = write_config(tmp_path, TRAIN_MINI)
+        for bad in ("zero", "0"):
+            monkeypatch.setenv(cli.THREADS_ENV, bad)
+            assert cli.main(["train", "--config", path, "--out", str(tmp_path)]) == 2
+            assert cli.THREADS_ENV in capsys.readouterr().err
 
     def test_thread_env_parsed_once_for_both_commands(self, tmp_path, monkeypatch, capsys):
+        # only train reads the variable; test_sweep_ignores_thread_env covers convergence
         monkeypatch.delenv(cli.THREADS_ENV, raising=False)
         assert cli._env_threads() is None  # unset: no override
         monkeypatch.setenv(cli.THREADS_ENV, "3")

@@ -163,42 +163,36 @@ class TestBackprop:
 
 class TestAdam:
     def _setup(self, grad_value):
-        net = mt.Network(
-            (1, 1, 1),
-            0.01,
-            [np.array([[0.3]]), np.array([[-0.2]])],
-            [np.array([0.1]), np.array([0.05])],
-        )
-        state = mt.AdamState.for_network(net)
-        gw = [np.full_like(w, grad_value) for w in net.weights]
-        gb = [np.full_like(b, grad_value) for b in net.biases]
-        return net, state, gw, gb
+        params = [np.array([[0.3]]), np.array([[-0.2]]), np.array([0.1]), np.array([0.05])]
+        state = mt.AdamState.for_params(params)
+        grads = [np.full_like(p, grad_value) for p in params]
+        return params, state, grads
 
     def test_first_step_is_signed_learning_rate(self):
         # bias correction makes step one equal lr * g / (|g| + eps)
         cfg = mt.TrainingConfig()
-        net, state, gw, gb = self._setup(0.37)
-        before = [a.copy() for a in net.weights + net.biases]
-        mt.adam_step(state, net, gw, gb, cfg.lr_base, cfg)
-        for prev, now in zip(before, net.weights + net.biases):
+        params, state, grads = self._setup(0.37)
+        before = [p.copy() for p in params]
+        mt.adam_step(state, params, grads, cfg.lr_base, cfg)
+        for prev, now in zip(before, params):
             assert_allclose(prev - now, cfg.lr_base * np.sign(0.37), rtol=1e-6)
         assert state.t == 1
 
     def test_zero_gradient_leaves_parameters(self):
         cfg = mt.TrainingConfig()
-        net, state, gw, gb = self._setup(0.0)
-        before = [a.copy() for a in net.weights + net.biases]
-        mt.adam_step(state, net, gw, gb, cfg.lr_base, cfg)
-        for prev, now in zip(before, net.weights + net.biases):
+        params, state, grads = self._setup(0.0)
+        before = [p.copy() for p in params]
+        mt.adam_step(state, params, grads, cfg.lr_base, cfg)
+        for prev, now in zip(before, params):
             assert_allclose(now, prev, rtol=0.0, atol=0.0)
 
     def test_first_step_scale_invariance(self):
         cfg = mt.TrainingConfig()
-        net_a, state_a, gw_a, gb_a = self._setup(0.01)
-        net_b, state_b, gw_b, gb_b = self._setup(1000.0 * 0.01)
-        mt.adam_step(state_a, net_a, gw_a, gb_a, cfg.lr_base, cfg)
-        mt.adam_step(state_b, net_b, gw_b, gb_b, cfg.lr_base, cfg)
-        for a, b in zip(net_a.weights + net_a.biases, net_b.weights + net_b.biases):
+        params_a, state_a, grads_a = self._setup(0.01)
+        params_b, state_b, grads_b = self._setup(1000.0 * 0.01)
+        mt.adam_step(state_a, params_a, grads_a, cfg.lr_base, cfg)
+        mt.adam_step(state_b, params_b, grads_b, cfg.lr_base, cfg)
+        for a, b in zip(params_a, params_b):
             assert_allclose(a, b, rtol=1e-5)
 
 
@@ -278,19 +272,42 @@ class TestSampleError:
     def test_ratio_is_one_at_reference(self):
         ctx = mt.SolverContext()
         ref = mt.sample_error(ctx, 0.4, 0.55, 1.0)
-        assert mt.sample_ratio(ctx, 0.4, 0.55, 1.0, ref) == 1.0
+        assert mt._ratios(ctx, 0.4, 0.55, 1.0, np.array([ref]))[0] == 1.0
 
     def test_good_exponent_beats_reference(self):
         # singular exponent nu = mu: a matched small lambda wins clearly
         ctx = mt.SolverContext()
         mu = 0.3
         ref = mt.sample_error(ctx, mu, mu, 1.0)
-        assert mt.sample_ratio(ctx, mu, mu, 0.1, ref) < 0.1
+        assert mt._ratios(ctx, mu, mu, 0.1, np.array([ref]))[0] < 0.1
 
     def test_reference_error_must_be_positive(self):
         ctx = mt.SolverContext()
         with pytest.raises(StructuralError):
-            mt.sample_ratio(ctx, 0.4, 0.55, 0.5, 0.0)
+            mt.batch_loss(
+                None, np.array([0.4]), np.array([0.55]), np.array([0.0]),
+                ctx, tiny_config(), lambda_override=0.5,
+            )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_reference_error_rejected(self, bad):
+        # a NaN reference used to drop its sample silently and an infinite
+        # one to count as ratio 0, both changing the loss without an error
+        ctx = mt.SolverContext()
+        refs = np.array([mt.sample_error(ctx, 0.4, 0.55, 1.0), bad])
+        with pytest.raises(StructuralError):
+            mt.batch_loss(
+                None, np.array([0.4, 0.6]), np.array([0.55, 0.7]), refs,
+                ctx, tiny_config(), lambda_override=0.5,
+            )
+        with pytest.raises(StructuralError):
+            mt.Dataset("validation", np.array([0.4, 0.6]), np.array([0.55, 0.7]), refs, None, 1, 2)
+        # the order and exponent checks reject the same values
+        with pytest.raises(StructuralError):
+            mt.Dataset(
+                "validation", np.array([0.4, bad]), np.array([0.55, 0.7]),
+                refs[:1].repeat(2), None, 1, 2,
+            )
 
     def test_error_grid_shapes_and_range(self):
         ctx = mt.SolverContext()
@@ -346,14 +363,14 @@ class TestBatchLoss:
         mus = np.array([0.2, 0.6])
         nus = np.array([0.4, 0.7])
         refs = np.array([mt.sample_error(ctx, m, n, 1.0) for m, n in zip(mus, nus)])
-        real = mt.sample_ratio
+        real = mt.sample_error
 
-        def flaky(context, mu, nu, lam, ref):
+        def flaky(context, mu, nu, lam):
             if mu == 0.2:
                 raise NumericalFailure("synthetic solver breakdown")
-            return real(context, mu, nu, lam, ref)
+            return real(context, mu, nu, lam)
 
-        monkeypatch.setattr(mt, "sample_ratio", flaky)
+        monkeypatch.setattr(mt, "sample_error", flaky)
         with caplog.at_level("WARNING", logger="muntzspec.mltune"):
             loss, _, ratios = mt.batch_loss(
                 None, mus, nus, refs, ctx, cfg, lambda_override=0.5
@@ -374,6 +391,31 @@ class TestBatchLoss:
 
 
 class TestEndToEndGradient:
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["plus", "minus"])
+    def test_failed_perturbed_solve_excludes_sample(self, monkeypatch, side):
+        # the failing sample drops out of the loss and the gradient alike:
+        # both match a batch holding only the other sample
+        ctx = mt.SolverContext()
+        cfg = tiny_config()
+        net = mt.init_network((1, 3, 1), 0.01, np.random.default_rng(8))
+        mus = np.array([0.25, 0.65])
+        nus = np.array([0.45, 0.8])
+        refs = np.array([mt.sample_error(ctx, m, n, 1.0) for m, n in zip(mus, nus)])
+        bad_lam = mt._clamp_lambda(mt.forward_batch(net, mus), cfg)[0] + side * cfg.fd_step
+        real = mt.sample_error
+
+        def flaky(context, mu, nu, lam):
+            if mu == mus[0] and lam == bad_lam:
+                raise NumericalFailure("synthetic perturbed breakdown")
+            return real(context, mu, nu, lam)
+
+        monkeypatch.setattr(mt, "sample_error", flaky)
+        loss, gw, gb = mt._loss_and_gradient(net, mus, nus, refs, ctx, cfg)
+        alone, gw1, gb1 = mt._loss_and_gradient(net, mus[1:], nus[1:], refs[1:], ctx, cfg)
+        assert loss == alone
+        for g, g1 in zip(gw + gb, gw1 + gb1):
+            assert_allclose(g, g1, rtol=1e-14, atol=0.0)
+
     def test_matches_full_finite_differences(self):
         # chain rule through the solver: analytic backprop times central
         # differences in lambda against direct differences over the weights;
@@ -637,6 +679,45 @@ class TestSpline:
         assert model.mu_knots.shape == (2,)
         assert np.all((model.lambda_knots >= 0.011) & (model.lambda_knots <= 0.999))
         assert model.boundary_flags.dtype == bool
+
+    @pytest.mark.parametrize("kwargs", [dict(n_nu=0), dict(iterations=0)])
+    def test_fit_arguments_validated(self, kwargs):
+        with pytest.raises(ParameterDomainError):
+            mt.spline_fit(n_knots=2, **kwargs)
+
+    @pytest.mark.parametrize(
+        "target,hi,iterations", [(0.3, 0.999, 40), (0.9, 0.5005, 80)], ids=["interior", "clipped"]
+    )
+    def test_knot_descent_is_scalar_adam(self, monkeypatch, target, hi, iterations):
+        # the shared update on a one-element array against Adam written out
+        # in scalars, including the clip and the early stop, bit for bit
+        def quadratic(context, mu, nus, refs, lam):
+            return 1.0 + (lam - target) ** 2
+
+        monkeypatch.setattr(mt, "_profile_loss", quadratic)
+        cfg = mt.TrainingConfig()
+        lo, h = 0.011, cfg.fd_step
+        lam, m, v = 0.5, 0.0, 0.0
+        best, small = math.inf, 0
+        for it in range(1, iterations + 1):
+            plus = quadratic(None, 0.5, None, None, min(lam + h, 1.0))
+            minus = quadratic(None, 0.5, None, None, lam - h)
+            grad = (plus - minus) / (2.0 * h)
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
+            mhat = m / (1.0 - cfg.beta1**it)
+            vhat = v / (1.0 - cfg.beta2**it)
+            lam = min(max(lam - cfg.lr_base * mhat / (math.sqrt(vhat) + cfg.eps), lo), hi)
+            current = 0.5 * (plus + minus)
+            small = small + 1 if best - current < 1e-8 else 0
+            if small >= 30:
+                break
+            best = min(best, current)
+        got, flag = mt._scalar_adam_lambda(
+            mt.SolverContext(), cfg, 0.5, np.array([0.5]), np.array([1.0]), lo, hi, iterations
+        )
+        assert got == lam
+        assert flag == (lam >= hi - 1e-12)
 
     def test_early_stop_on_flat_profile(self, monkeypatch):
         calls = []
