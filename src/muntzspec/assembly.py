@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Union
 
 import numpy as np
@@ -113,7 +114,10 @@ class SpatialOperators:
     convection: np.ndarray  # [j, k] = (phi_k', phi_j)
 
 
+@cache
 def assemble_spatial(m_legendre: int) -> SpatialOperators:
+    """Operators for cutoff m_legendre; cached per cutoff, with read-only
+    arrays shared by every caller."""
     basis = SpatialBasis(m_legendre)
     nm = basis.n_modes
     c = basis.coeffs
@@ -128,7 +132,10 @@ def assemble_spatial(m_legendre: int) -> SpatialOperators:
     j = np.arange(nm - 1)
     conv[j, j + 1] = 2.0 * c[j] * c[j + 1]
     conv[j + 1, j] = -2.0 * c[j] * c[j + 1]
-    return SpatialOperators(basis, np.eye(nm), mass, conv)
+    stiffness = np.eye(nm)
+    for arr in (stiffness, mass, conv):
+        arr.flags.writeable = False
+    return SpatialOperators(basis, stiffness, mass, conv)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +273,16 @@ class ManufacturedProblem:
 SourceTerm = Union[ManufacturedProblem, Callable[..., np.ndarray]]
 
 
+@cache
+def _spatial_forcing_rule(m_legendre: int):
+    """Gauss-Legendre nodes x and weights wx of the forcing quadrature and
+    the basis table phi there; cached per cutoff, read-only."""
+    srule = gauss_jacobi(0.0, 0.0, m_legendre + 10)
+    phi = spatial_table(SpatialBasis(m_legendre), srule.nodes)
+    phi.flags.writeable = False
+    return srule.nodes, srule.weights, phi
+
+
 def _forcing_rules(sbasis: SpatialBasis, tbasis: MuntzBasis, t_end: float):
     """Quadrature shared by the forcing assemblers: Gauss-Legendre nodes x,
     weights wx and basis table phi in space; in time the physical nodes and
@@ -273,9 +290,7 @@ def _forcing_rules(sbasis: SpatialBasis, tbasis: MuntzBasis, t_end: float):
     (g, member_n) = sum_k T[n, k] g(tau_k)."""
     if tbasis.beta != -1.0:
         raise StructuralError("temporal quadrature expects the (alpha, -1) family")
-    srule = gauss_jacobi(0.0, 0.0, sbasis.m_legendre + 10)
-    x = srule.nodes
-    phi = spatial_table(sbasis, x)
+    x, wx, phi = _spatial_forcing_rule(sbasis.m_legendre)
     lam = tbasis.lam
     rule = gauss_jacobi_unit(0.0, 1.0 / lam, 2 * tbasis.nmax + 20)
     s = rule.nodes
@@ -284,7 +299,7 @@ def _forcing_rules(sbasis: SpatialBasis, tbasis: MuntzBasis, t_end: float):
     pref = (idx + tbasis.alpha + 1.0) / (idx + 1.0)
     ptab = jacobi_table(tbasis.alpha, 1.0, tbasis.nmax, 2.0 * s - 1.0)
     tmat = pref[:, None] * ptab * rule.weights / lam
-    return x, srule.weights, phi, tau * t_end, tmat
+    return x, wx, phi, tau * t_end, tmat
 
 
 def _check_finite(values: np.ndarray, what: str) -> None:
@@ -302,7 +317,13 @@ def assemble_forcing_1d(
     t = tau * t_end.  source is a ManufacturedProblem or a callable f(x, t)
     that broadcasts over arrays.
     """
-    x, wx, phi, t_phys, tmat = _forcing_rules(sbasis, tbasis, t_end)
+    return _project_forcing_1d(source, _forcing_rules(sbasis, tbasis, t_end))
+
+
+def _project_forcing_1d(source: SourceTerm, rules) -> np.ndarray:
+    """assemble_forcing_1d on rules from `_forcing_rules`, which sources
+    solved under one configuration share."""
+    x, wx, phi, t_phys, tmat = rules
     f = source.forcing if isinstance(source, ManufacturedProblem) else source
     fvals = np.asarray(f(x[None, :], t_phys[:, None]), dtype=float)
     if fvals.shape != (t_phys.size, x.size):

@@ -6,12 +6,16 @@ The loss of a sample (mu, nu) is the nodal solution error of the solve at
 the predicted lambda divided by the error of the classical lambda = 1 solve
 for the same sample; the denominator is lambda-independent and cached with
 the dataset.  One loop, `_ratios`, turns solves into these ratios for the
-batch loss, its gradient and the spline's profile loss; a failed solve gives
-NaN, is logged as excluded and leaves its sample out of the mean.  The
-gradient with respect to lambda is a central finite difference (two extra
-small solves), chained into analytic backpropagation through the network.
-One bias-corrected Adam update (`adam_step`) descends both the network's
-weights and the spline baseline's per-knot lambda.
+batch loss, its gradient and the spline's profile loss.  Since lambda
+depends only on mu, it groups its samples by (mu, lambda) and solves each
+group in `_group_errors`: one factorization, every nu one more right-hand
+side, one temporal table for the error grid.  A failed solve gives NaN, is
+logged as excluded and leaves its sample out of the mean; a failure of the
+group's shared system does so for every sample of the group.  The gradient
+with respect to lambda is a central finite difference (two extra small
+solves), chained into analytic backpropagation through the network.  One
+bias-corrected Adam update (`adam_step`) descends both the network's weights
+and the spline baseline's per-knot lambda.
 """
 
 from __future__ import annotations
@@ -20,12 +24,14 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
 
 from .assembly import ManufacturedProblem
+from .basis import SpatialBasis, muntz_jacobi_table, spatial_table
 from .errors import (
     NumericalFailure,
     ParameterDomainError,
@@ -33,7 +39,10 @@ from .errors import (
     TrainingFailure,
 )
 from .quadrature import gauss_jacobi, gauss_jacobi_unit
-from .solver1d import SolverConfig, evaluate_grid, solve_1d
+from .solver1d import SolverConfig, solve_1d_group
+# solve_1d and evaluate_grid are unused here; they stay importable as
+# mltune.solve_1d/evaluate_grid because the benchmark tracer wraps them by name.
+from .solver1d import evaluate_grid, solve_1d  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -307,16 +316,57 @@ def _error_grid(context: SolverContext, lam: float):
     return xs, ts * context.t_end
 
 
+@cache
+def _spatial_error_table(m_space: int) -> np.ndarray:
+    """Spatial basis at the error grid's Gauss-Legendre nodes; cached per
+    cutoff, read-only."""
+    xs = gauss_jacobi(0.0, 0.0, m_space - 1).nodes
+    table = spatial_table(SpatialBasis(m_space), xs)
+    table.flags.writeable = False
+    return table
+
+
+def _group_errors(context: SolverContext, mu: float, lam: float, nus) -> list:
+    """Frobenius norms of the nodal solution errors of the samples (mu, nu),
+    nu in nus, all solved at lam with one factorization.
+
+    Returns one entry per nu: its error, or the error its own solve raised.
+    A failure of the shared system raises.
+    """
+    problems = [
+        ManufacturedProblem(mu=mu, nu=nu, kappa=context.kappa, rho=context.rho, t_end=context.t_end)
+        for nu in nus
+    ]
+    outcomes = solve_1d_group(context.solver_config(mu, lam), problems)
+    xs, ts = _error_grid(context, lam)
+    spatial = _spatial_error_table(context.m_space)
+    temporal = None
+    errors = []
+    for problem, solution in zip(problems, outcomes):
+        if isinstance(solution, Exception):
+            errors.append(solution)
+            continue
+        if temporal is None:
+            # evaluate_grid's tables, built once for the group
+            temporal = muntz_jacobi_table(solution.temporal, ts / context.t_end)
+        approx = temporal.T @ solution.coeffs @ spatial
+        exact = problem.exact(xs[None, :], ts[:, None])
+        errors.append(float(np.linalg.norm(approx - exact)))
+    return errors
+
+
+def _solved(errors: list) -> list[float]:
+    """The errors of a group that must all have solved; raises the first
+    failure."""
+    for error in errors:
+        if isinstance(error, Exception):
+            raise error
+    return errors
+
+
 def sample_error(context: SolverContext, mu: float, nu: float, lam: float) -> float:
     """Frobenius norm of the nodal solution error for one (mu, nu) at lam."""
-    problem = ManufacturedProblem(
-        mu=mu, nu=nu, kappa=context.kappa, rho=context.rho, t_end=context.t_end
-    )
-    solution = solve_1d(context.solver_config(mu, lam), problem)
-    xs, ts = _error_grid(context, lam)
-    approx = evaluate_grid(solution, xs, ts)
-    exact = problem.exact(xs[None, :], ts[:, None])
-    return float(np.linalg.norm(approx - exact))
+    return _solved(_group_errors(context, mu, lam, [nu]))[0]
 
 
 def _check_ref_errors(ref_error: np.ndarray) -> None:
@@ -328,19 +378,29 @@ def _check_ref_errors(ref_error: np.ndarray) -> None:
 def _ratios(context: SolverContext, mu, nu, lams, ref_error) -> np.ndarray:
     """Normalized sample errors: the solve error at each sample's lambda over
     its cached lambda = 1 reference error.  Arguments broadcast to one flat
-    sample axis; a failed solve gives NaN and is logged as excluded."""
+    sample axis, which is solved in groups of equal (mu, lambda); a failed
+    solve gives NaN and is logged as excluded."""
     mu, nu, lams, ref_error = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (mu, nu, lams, ref_error))
     )
     _check_ref_errors(ref_error)
-    errors = np.full(mu.shape, np.nan)
+    groups: dict[tuple[float, float], list[int]] = {}
     for i in range(mu.size):
+        groups.setdefault((mu[i], lams[i]), []).append(i)
+    errors = np.full(mu.shape, np.nan)
+    for (m, lam), members in groups.items():
         try:
-            errors[i] = sample_error(context, mu[i], nu[i], lams[i])
+            outcomes = _group_errors(context, m, lam, nu[members])
         except (NumericalFailure, ParameterDomainError) as exc:
-            logger.warning(
-                "sample (mu=%.6g, nu=%.6g, lam=%.6g) excluded: %s", mu[i], nu[i], lams[i], exc
-            )
+            outcomes = [exc] * len(members)
+        for i, outcome in zip(members, outcomes):
+            if isinstance(outcome, Exception):
+                logger.warning(
+                    "sample (mu=%.6g, nu=%.6g, lam=%.6g) excluded: %s",
+                    mu[i], nu[i], lams[i], outcome,
+                )
+            else:
+                errors[i] = outcome
     return errors / ref_error
 
 
@@ -415,7 +475,8 @@ def generate_dataset(
         raise ParameterDomainError(f"dataset kind must be training or validation, got {kind}")
     mu = np.repeat(mu_axis, n_nu)
     nu = np.tile(nu_axis, n_mu)
-    ref = np.array([sample_error(context, m, n, 1.0) for m, n in zip(mu, nu)])
+    # mu repeats each axis value over the nu axis: one group per order
+    ref = np.concatenate([_solved(_group_errors(context, m, 1.0, nu_axis)) for m in mu_axis])
     for arr in (mu, nu, ref):
         arr.flags.writeable = False
     return Dataset(kind, mu, nu, ref, seed, n_mu, n_nu)
@@ -711,7 +772,7 @@ def spline_fit(
     lams = np.empty(n_knots)
     flags = np.zeros(n_knots, dtype=bool)
     for i, mu in enumerate(mu_knots):
-        refs = np.array([sample_error(context, mu, nu, 1.0) for nu in nus])
+        refs = np.array(_solved(_group_errors(context, mu, 1.0, nus)))
         lams[i], flags[i] = _scalar_adam_lambda(
             context, config, mu, nus, refs, lo, hi, iterations
         )

@@ -4,6 +4,8 @@ the package by attribute lookup; every name it lists must keep resolving."""
 import importlib.util
 import pathlib
 
+import numpy as np
+
 import muntzspec
 import muntzspec.cli  # noqa: F401  (the tracer wraps cli names too)
 from muntzspec.assembly import ManufacturedProblem
@@ -51,3 +53,23 @@ def test_solve_1d_records_lapack_spans():
     # the lookup plus gbtrf, gbcon and gbtrs
     assert len(lapack) >= 4
     assert tracer.layer_metrics(1, 1.0)["solver1d.lapack_s"] > 0.0
+
+
+def test_batch_loss_assembles_once_per_group():
+    # lambda depends only on mu, so 3 orders x 4 exponents are 3 groups, each
+    # solved with one temporal assembly and one factorization
+    spans = load_spans()
+    mltune = muntzspec.mltune
+    config = mltune.TrainingConfig(hidden_layers=1, hidden_width=3)
+    net = mltune.init_network(config.layer_sizes, config.negative_slope, np.random.default_rng(0))
+    mu = np.repeat([0.2, 0.5, 0.8], 4)
+    nu = np.tile([0.3, 0.5, 0.7, 0.9], 3)
+    tracer = spans.Tracer(muntzspec)
+    tracer.install()
+    try:
+        _, _, ratios = mltune.batch_loss(net, mu, nu, np.ones(12), mltune.SolverContext(), config)
+    finally:
+        tracer.uninstall()
+    assert not np.isnan(ratios).any()
+    temporal = [span for span in tracer.spans if span[:2] == ["assembly", "temporal"]]
+    assert len(temporal) == 3

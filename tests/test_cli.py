@@ -453,7 +453,7 @@ class TestTrainCommand:
         def no_solve(*args, **kwargs):
             raise AssertionError("train solved before rejecting its configuration")
 
-        monkeypatch.setattr(mltune, "solve_1d", no_solve)
+        monkeypatch.setattr(mltune, "solve_1d_group", no_solve)
         path = write_config(tmp_path, TRAIN_MINI + "    beta1 = nan\n")
         assert cli.main(["train", "--config", path, "--out", str(tmp_path)]) == 2
 

@@ -13,7 +13,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from muntzspec import mltune as mt
+from muntzspec import solver1d
+from muntzspec.assembly import TemporalOperators
 from muntzspec.errors import (
+    ConditioningError,
     NumericalFailure,
     ParameterDomainError,
     StructuralError,
@@ -309,6 +312,26 @@ class TestSampleError:
                 refs[:1].repeat(2), None, 1, 2,
             )
 
+    @pytest.mark.filterwarnings("ignore:1D system condition estimate")
+    @pytest.mark.parametrize("lam", [1.0, 0.22, 0.085])
+    def test_error_does_not_depend_on_its_group(self, lam):
+        # a sample solved alone, in a group of 2 and in a group of 7 mixed
+        # exponents gives the same bits, which criterion 12 relies on
+        ctx = mt.SolverContext()
+        mu, nu = 0.35, 0.45
+        alone = mt.sample_error(ctx, mu, nu, lam)
+        pair = mt._group_errors(ctx, mu, lam, [0.9, nu])
+        seven = mt._group_errors(ctx, mu, lam, [0.1, 2.0, 0.35, nu, 0.7, 0.05, 0.99])
+        assert pair[1] == alone
+        assert seven[3] == alone
+        assert seven[0] == mt.sample_error(ctx, mu, 0.1, lam)
+
+    def test_spatial_error_table_is_read_only(self):
+        table = mt._spatial_error_table(20)
+        assert mt._spatial_error_table(20) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
     def test_error_grid_shapes_and_range(self):
         ctx = mt.SolverContext()
         xs, ts = mt._error_grid(ctx, 0.25)
@@ -363,14 +386,14 @@ class TestBatchLoss:
         mus = np.array([0.2, 0.6])
         nus = np.array([0.4, 0.7])
         refs = np.array([mt.sample_error(ctx, m, n, 1.0) for m, n in zip(mus, nus)])
-        real = mt.sample_error
+        real = mt._group_errors
 
-        def flaky(context, mu, nu, lam):
+        def flaky(context, mu, lam, nus):
             if mu == 0.2:
                 raise NumericalFailure("synthetic solver breakdown")
-            return real(context, mu, nu, lam)
+            return real(context, mu, lam, nus)
 
-        monkeypatch.setattr(mt, "sample_error", flaky)
+        monkeypatch.setattr(mt, "_group_errors", flaky)
         with caplog.at_level("WARNING", logger="muntzspec.mltune"):
             loss, _, ratios = mt.batch_loss(
                 None, mus, nus, refs, ctx, cfg, lambda_override=0.5
@@ -378,6 +401,59 @@ class TestBatchLoss:
         assert np.isnan(ratios[0]) and not np.isnan(ratios[1])
         assert loss == ratios[1]
         assert any("excluded" in rec.message for rec in caplog.records)
+
+    def test_own_residual_failure_excludes_only_that_sample(self, monkeypatch, caplog):
+        # three exponents share one (mu, lambda) group and one factorization;
+        # the residual check of the middle one fails
+        ctx = mt.SolverContext()
+        mus = np.full(3, 0.4)
+        nus = np.array([0.3, 0.5, 0.7])
+        refs = np.array([mt.sample_error(ctx, m, n, 1.0) for m, n in zip(mus, nus)])
+        alone = mt._ratios(ctx, mus, nus, 0.5, refs)
+        real = solver1d._residual_norm
+        calls = []
+
+        def second_fails(lhs, rhs):
+            calls.append(None)
+            return 1.0 if len(calls) == 2 else real(lhs, rhs)
+
+        monkeypatch.setattr(solver1d, "_residual_norm", second_fails)
+        with caplog.at_level("WARNING", logger="muntzspec.mltune"):
+            ratios = mt._ratios(ctx, mus, nus, 0.5, refs)
+        assert len(calls) == 3
+        assert np.isnan(ratios[1])
+        assert ratios[0] == alone[0] and ratios[2] == alone[2]
+        excluded = [rec.message for rec in caplog.records if "excluded" in rec.message]
+        assert len(excluded) == 1 and "nu=0.5," in excluded[0]
+
+    @pytest.mark.parametrize("failure", ["conditioning", "zero pivot"])
+    def test_shared_failure_excludes_the_whole_group(self, monkeypatch, caplog, failure):
+        ctx = mt.SolverContext()
+        mus = np.array([0.2, 0.6, 0.2, 0.6, 0.2])
+        nus = np.array([0.3, 0.4, 0.5, 0.6, 0.7])
+        refs = np.array([mt.sample_error(ctx, m, n, 1.0) for m, n in zip(mus, nus)])
+        alone = mt._ratios(ctx, mus, nus, 0.5, refs)
+        original = solver1d.assemble_temporal
+
+        def broken(n, mu, lam, **kwargs):
+            ops = original(n, mu, lam, **kwargs)
+            if mu != 0.2:
+                return ops
+            if failure == "conditioning":
+                raise ConditioningError("synthetic assembly breakdown")
+            zero = np.zeros_like(ops.mass)
+            return TemporalOperators(ops.basis, ops.mu, ops.nhat, zero, zero)
+
+        monkeypatch.setattr(solver1d, "assemble_temporal", broken)
+        with caplog.at_level("WARNING", logger="muntzspec.mltune"):
+            ratios = mt._ratios(ctx, mus, nus, 0.5, refs)
+        failed = mus == 0.2
+        assert np.all(np.isnan(ratios[failed]))
+        assert np.array_equal(ratios[~failed], alone[~failed])
+        excluded = [rec.message for rec in caplog.records if "excluded" in rec.message]
+        assert len(excluded) == 3
+        for nu in nus[failed]:
+            assert sum(f"nu={nu:.6g}," in message for message in excluded) == 1
 
     def test_all_samples_failed_raises(self):
         # lambda below the solver floor fails every sample
@@ -402,14 +478,14 @@ class TestEndToEndGradient:
         nus = np.array([0.45, 0.8])
         refs = np.array([mt.sample_error(ctx, m, n, 1.0) for m, n in zip(mus, nus)])
         bad_lam = mt._clamp_lambda(mt.forward_batch(net, mus), cfg)[0] + side * cfg.fd_step
-        real = mt.sample_error
+        real = mt._group_errors
 
-        def flaky(context, mu, nu, lam):
+        def flaky(context, mu, lam, nus):
             if mu == mus[0] and lam == bad_lam:
                 raise NumericalFailure("synthetic perturbed breakdown")
-            return real(context, mu, nu, lam)
+            return real(context, mu, lam, nus)
 
-        monkeypatch.setattr(mt, "sample_error", flaky)
+        monkeypatch.setattr(mt, "_group_errors", flaky)
         loss, gw, gb = mt._loss_and_gradient(net, mus, nus, refs, ctx, cfg)
         alone, gw1, gb1 = mt._loss_and_gradient(net, mus[1:], nus[1:], refs[1:], ctx, cfg)
         assert loss == alone

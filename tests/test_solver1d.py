@@ -26,13 +26,14 @@ from muntzspec.assembly import (
     assemble_temporal,
     caputo_power,
 )
-from muntzspec.errors import NumericalFailure, ParameterDomainError
+from muntzspec.errors import ConditioningError, NumericalFailure, ParameterDomainError
 from muntzspec.solver1d import (
     ErrorReport,
     SolverConfig,
     error_norms,
     evaluate_grid,
     solve_1d,
+    solve_1d_group,
 )
 
 MODELS_DIR = pathlib.Path(muntzspec.__file__).resolve().parent / "models"
@@ -246,13 +247,7 @@ class TestBandedAgainstDenseOracle:
         assert got == pytest.approx(want, rel=0.01)
 
     def test_zero_pivot_raises_numerical_failure(self, monkeypatch):
-        def zero_operators(n, mu, lam, **kwargs):
-            ops = original(n, mu, lam, **kwargs)
-            zero = np.zeros_like(ops.mass)
-            return TemporalOperators(ops.basis, ops.mu, ops.nhat, zero, zero)
-
-        original = solver1d.assemble_temporal
-        monkeypatch.setattr(solver1d, "assemble_temporal", zero_operators)
+        zero_temporal_operators(monkeypatch)
         cfg = SolverConfig(mu=0.5, lam=0.5, m_space=6, n_time=3)
         with pytest.raises(NumericalFailure, match="zero pivot"):
             solve_1d(cfg, ManufacturedProblem(mu=0.5, nu=1.5))
@@ -266,6 +261,103 @@ class TestBandedAgainstDenseOracle:
         prob = ManufacturedProblem(mu=0.5, nu=1.5)
         sol = solve_1d(SolverConfig(mu=0.5, lam=0.5, m_space=20, n_time=4), prob)
         assert error_norms(sol, prob.exact).linf <= 1e-10
+
+
+def zero_temporal_operators(monkeypatch):
+    """Make solver1d assemble all-zero temporal operators, so that the banded
+    LU meets a zero pivot."""
+    original = solver1d.assemble_temporal
+
+    def zero_operators(n, mu, lam, **kwargs):
+        ops = original(n, mu, lam, **kwargs)
+        zero = np.zeros_like(ops.mass)
+        return TemporalOperators(ops.basis, ops.mu, ops.nhat, zero, zero)
+
+    monkeypatch.setattr(solver1d, "assemble_temporal", zero_operators)
+
+
+class TestGroupedSolve:
+    @pytest.mark.filterwarnings("ignore:1D system condition estimate")
+    @pytest.mark.parametrize("mu", [0.12, 0.5, 0.85])
+    def test_one_source_matches_its_column_of_a_group(self, mu):
+        # solve_1d is the one-source call of solve_1d_group; a source's
+        # column must not depend on which other sources share the gbtrs call
+        ann_lam, spline_lam = packaged_lambdas(mu)
+        sources = [ManufacturedProblem(mu=mu, nu=nu) for nu in (0.3, 1.0 - mu, 0.9, 2.0)]
+        sources.append(lambda x, t: np.sqrt(t) * np.cos(0.5 * np.pi * x))
+        for lam in (1.0, spline_lam, ann_lam):
+            cfg = SolverConfig(mu=mu, lam=lam, m_space=16, n_time=12)
+            group = solve_1d_group(cfg, sources)
+            for source, grouped in zip(sources, group):
+                alone = solve_1d(cfg, source)
+                assert np.array_equal(grouped.coeffs, alone.coeffs)
+                assert grouped.residual == alone.residual
+                # gbcon's estimate is not bit-reproducible between identical calls
+                assert grouped.cond_estimate == pytest.approx(alone.cond_estimate, rel=1e-12)
+                assert grouped.cond_warning == alone.cond_warning
+                assert not grouped.coeffs.flags.writeable
+
+    def test_failing_source_fails_alone(self):
+        cfg = SolverConfig(mu=0.5, lam=0.5, m_space=10, n_time=6)
+        good = ManufacturedProblem(mu=0.5, nu=1.5)
+        non_finite = lambda x, t: np.nan * x * t  # noqa: E731
+        mismatched = ManufacturedProblem(mu=0.3, nu=1.5)
+        group = solve_1d_group(cfg, [good, non_finite, mismatched, good])
+        assert isinstance(group[1], NumericalFailure)
+        assert isinstance(group[2], ParameterDomainError)
+        for solved in (group[0], group[3]):
+            assert np.array_equal(solved.coeffs, solve_1d(cfg, good).coeffs)
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            solve_1d(cfg, non_finite)
+
+    def test_residual_failure_belongs_to_its_source(self, monkeypatch):
+        real = solver1d._residual_norm
+        calls = []
+
+        def second_fails(lhs, rhs):
+            calls.append(None)
+            return 1.0 if len(calls) == 2 else real(lhs, rhs)
+
+        monkeypatch.setattr(solver1d, "_residual_norm", second_fails)
+        cfg = SolverConfig(mu=0.5, lam=0.5, m_space=10, n_time=6)
+        sources = [ManufacturedProblem(mu=0.5, nu=nu) for nu in (0.4, 0.6, 0.8)]
+        group = solve_1d_group(cfg, sources)
+        assert isinstance(group[1], NumericalFailure)
+        assert "residual" in str(group[1])
+        assert group[0].residual <= 1e-10 and group[2].residual <= 1e-10
+
+    def test_shared_system_failure_raises(self, monkeypatch):
+        cfg = SolverConfig(mu=0.5, lam=0.5, m_space=6, n_time=3)
+        sources = [ManufacturedProblem(mu=0.5, nu=nu) for nu in (0.4, 1.5)]
+        zero_temporal_operators(monkeypatch)
+        with pytest.raises(NumericalFailure, match="zero pivot"):
+            solve_1d_group(cfg, sources)
+
+        def ill_posed(*args, **kwargs):
+            raise ConditioningError("synthetic assembly breakdown")
+
+        monkeypatch.setattr(solver1d, "assemble_temporal", ill_posed)
+        with pytest.raises(ConditioningError):
+            solve_1d_group(cfg, sources)
+
+    @pytest.mark.parametrize("grouped", [False, True], ids=["solve_1d", "solve_1d_group"])
+    def test_condition_warning_names_the_caller(self, grouped):
+        prob = ManufacturedProblem(mu=0.12, nu=0.88, kappa=1.0, rho=1.0)
+        cfg = SolverConfig(mu=0.12, lam=0.0962, m_space=20, n_time=20)
+        with pytest.warns(RuntimeWarning, match="condition estimate") as record:
+            if grouped:
+                solve_1d_group(cfg, [prob, prob])
+            else:
+                solve_1d(cfg, prob)
+        assert [w.filename for w in record] == [__file__]
+
+    def test_cached_spatial_arrays_are_read_only(self):
+        ops = assemble_spatial(12)
+        assert assemble_spatial(12) is ops
+        _, _, phi = muntzspec.assembly._spatial_forcing_rule(12)
+        for arr in (ops.stiffness, ops.mass, ops.convection, phi):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
 
 
 class TestConfigValidation:
