@@ -19,7 +19,7 @@ def main():
     print("matched scale (lambda = 1/5)")
     print(f"{'N':>4s} {'projection error':>18s}")
     for nmax in (1, 2, 3, 4, 5):
-        basis = MuntzBasis(0.5, -1.0, 0.2, nmax)
+        basis = MuntzBasis(0.2, nmax)
         _, err = muntz_project(target, basis, 64)
         print(f"{nmax:4d} {err:18.3e}")
 
@@ -27,7 +27,7 @@ def main():
     print("classical scale (lambda = 1)")
     print(f"{'N':>4s} {'projection error':>18s}")
     for nmax in (4, 8, 16, 32):
-        basis = MuntzBasis(0.5, -1.0, 1.0, nmax)
+        basis = MuntzBasis(1.0, nmax)
         _, err = muntz_project(target, basis, 400)
         print(f"{nmax:4d} {err:18.3e}")
 

@@ -65,7 +65,6 @@ from .solver2d import (
     evaluate_grid_2d,
     fourier_like_basis,
     solve_2d,
-    solve_2d_dense,
 )
 
 __version__ = "0.1.0"

@@ -1,10 +1,10 @@
 """Galerkin operator assembly for the space-time spectral method.
 
 Spatial operators come in closed form from Legendre orthogonality.  Temporal
-operators pair Muntz-Jacobi members (the (alpha, -1) family, whose members all
-vanish at t = 0) under the Caputo derivative of order mu.  After substituting
-s = t^lam, the derivative of a member reduces by a classical Jacobi identity
-to a plain (alpha+1, 0) polynomial, so both operators become weighted
+operators pair the members of `basis.MuntzBasis` (which all vanish at t = 0)
+under the Caputo derivative of order mu.  After substituting s = t^lam, the
+derivative of a member reduces by a classical Jacobi identity to a plain
+polynomial (`MuntzBasis.derivative`), so both operators become weighted
 integrals that Gauss-Jacobi rules capture exactly or nearly exactly:
 
   mass:      one rule with weight s^(1 + 1/lam),
@@ -45,7 +45,6 @@ from .errors import (
 from .quadrature import gauss_jacobi, gauss_jacobi_unit
 
 __all__ = [
-    "ALPHA_DEFAULT",
     "LAMBDA_MIN",
     "ManufacturedProblem",
     "SpatialOperators",
@@ -58,7 +57,6 @@ __all__ = [
     "default_inner_points",
 ]
 
-ALPHA_DEFAULT = 0.5
 LAMBDA_MIN = 0.01
 _WEIGHT_EXP_MAX = 1.0e4
 
@@ -157,19 +155,16 @@ def _validate_lambda(lam: float) -> None:
 @dataclass(frozen=True)
 class TemporalOperators:
     """Stiffness [q, n] = (Caputo_mu member_n, member_q) and mass
-    [q, n] = (member_n, member_q) of the (alpha, -1) Muntz-Jacobi family."""
+    [q, n] = (member_n, member_q) of the Muntz-Jacobi family."""
 
     basis: MuntzBasis
-    mu: float
-    nhat: int
     stiffness: np.ndarray
     mass: np.ndarray
 
 
-def assemble_temporal(
-    n: int, mu: float, lam: float, alpha: float = ALPHA_DEFAULT, nhat: int | None = None
-) -> TemporalOperators:
-    """Assemble the temporal operators for members 0..n."""
+def assemble_temporal(n: int, mu: float, lam: float, nhat: int | None = None) -> TemporalOperators:
+    """Assemble the temporal operators for members 0..n; nhat + 1 is the
+    size of the inner rule (default `default_inner_points(n)`)."""
     if not 0.0 < mu < 1.0:
         raise ParameterDomainError(f"fractional order must lie in (0, 1), got {mu}")
     _validate_lambda(lam)
@@ -182,19 +177,18 @@ def assemble_temporal(
         nhat = default_inner_points(n)
     if nhat < 1:
         raise ParameterDomainError(f"inner rule size must be positive, got {nhat}")
-    basis = MuntzBasis(alpha, -1.0, lam, n)
-    idx = np.arange(n + 1, dtype=float)
-    pref = (idx + alpha + 1.0) / (idx + 1.0)
+    basis = MuntzBasis(lam, n)
+    pref = basis.prefactors
 
     # mass: exact, one rule; both members contribute a factor s and the
     # substitution contributes s^(1/lam - 1) ds
     mass_rule = gauss_jacobi_unit(0.0, 1.0 + 1.0 / lam, n + 1)
-    ptab = jacobi_table(alpha, 1.0, n, 2.0 * mass_rule.nodes - 1.0)
+    ptab = jacobi_table(*basis.reduced, n, 2.0 * mass_rule.nodes - 1.0)
     mass = np.outer(pref, pref) * ((ptab * mass_rule.weights) @ ptab.T) / lam
     mass = 0.5 * (mass + mass.T)
 
-    # stiffness: derivative identity lowers the trial member to the
-    # (alpha+1, 0) polynomial and cancels the trial prefactor's denominator
+    # stiffness: the derivative identity lowers the trial member to the
+    # derivative table and cancels the trial prefactor's denominator
     outer_rule = gauss_jacobi_unit(0.0, exp_outer, n + 1)
     zeta, w_out = outer_rule.nodes, outer_rule.weights
     inner_rule = gauss_jacobi_unit(-mu, 0.0, nhat + 1)
@@ -204,16 +198,16 @@ def assemble_temporal(
     smooth = -np.expm1(log_zhat / lam) / (1.0 - zhat)
     weights_in = w_in * np.power(smooth, -mu)
     args = 2.0 * zeta[:, None] * zhat[None, :] - 1.0
-    jt = jacobi_table(alpha + 1.0, 0.0, n, args)  # (trial, outer, inner)
+    jt = jacobi_table(*basis.derivative, n, args)  # (trial, outer, inner)
     inner = jt @ weights_in  # (trial, outer)
-    qtab = jacobi_table(alpha, 1.0, n, 2.0 * zeta - 1.0)  # (test, outer)
+    qtab = jacobi_table(*basis.reduced, n, 2.0 * zeta - 1.0)  # (test, outer)
     core = (qtab * w_out) @ inner.T  # [test q, trial n]
     stiffness = (
-        np.outer(pref, idx + alpha + 1.0) * core / (lam * math.gamma(1.0 - mu))
+        np.outer(pref, basis.derivative_scales) * core / (lam * math.gamma(1.0 - mu))
     )
     if not (np.all(np.isfinite(stiffness)) and np.all(np.isfinite(mass))):
         raise NumericalFailure("temporal operator assembly produced non-finite entries")
-    return TemporalOperators(basis, mu, nhat, stiffness, mass)
+    return TemporalOperators(basis, stiffness, mass)
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +282,13 @@ def _forcing_rules(sbasis: SpatialBasis, tbasis: MuntzBasis, t_end: float):
     weights wx and basis table phi in space; in time the physical nodes and
     the matrix T with T[n, k] = w_k * member_n(s_k-form), so that
     (g, member_n) = sum_k T[n, k] g(tau_k)."""
-    if tbasis.beta != -1.0:
-        raise StructuralError("temporal quadrature expects the (alpha, -1) family")
     x, wx, phi = _spatial_forcing_rule(sbasis.m_legendre)
     lam = tbasis.lam
     rule = gauss_jacobi_unit(0.0, 1.0 / lam, 2 * tbasis.nmax + 20)
     s = rule.nodes
     tau = np.power(s, 1.0 / lam)
-    idx = np.arange(tbasis.n_modes, dtype=float)
-    pref = (idx + tbasis.alpha + 1.0) / (idx + 1.0)
-    ptab = jacobi_table(tbasis.alpha, 1.0, tbasis.nmax, 2.0 * s - 1.0)
-    tmat = pref[:, None] * ptab * rule.weights / lam
+    ptab = jacobi_table(*tbasis.reduced, tbasis.nmax, 2.0 * s - 1.0)
+    tmat = tbasis.prefactors[:, None] * ptab * rule.weights / lam
     return x, wx, phi, tau * t_end, tmat
 
 
@@ -345,10 +335,12 @@ def assemble_forcing_2d(
     if isinstance(source, ManufacturedProblem):
         if source.dim != 2:
             raise StructuralError("2D assembly needs a 2D problem")
-        profile = tmat @ (
+        fvals = (
             caputo_power(source.mu, source.nu, t_phys)
             + 2.0 * source.kappa * np.pi**2 * np.power(t_phys, source.nu)
         )
+        _check_finite(fvals, "forcing")
+        profile = tmat @ fvals
         sin_proj = phi @ (wx * np.sin(np.pi * x))
         return profile[:, None] * np.outer(sin_proj, sin_proj).reshape(1, nm * nm)
     fvals = np.asarray(

@@ -1,21 +1,22 @@
-"""Polynomial bases: Jacobi and Legendre tables, the Muntz-Jacobi family with
-fractional argument t^lambda, and the Legendre-difference spatial basis.
+"""Polynomial bases: Jacobi and Legendre tables, the Muntz-Jacobi temporal
+family with fractional argument t^lambda, and the Legendre-difference spatial
+basis.
 
-The Muntz-Jacobi family generalizes Jacobi polynomials to exponents -1 in
-either weight parameter.  Writing s = t^lambda, every member factors as
+Writing s = t^lambda, the temporal members, which span {t^((k+1) lambda)},
+and their s-derivatives are
 
-    prefactor(n) * s^p1 * (1-s)^p2 * P_n^{a,b}(2s - 1)
+    member_n = pref_n * s * P_n^(ALPHA, 1)(2s - 1),   pref_n = (n + ALPHA + 1) / (n + 1),
+    d/ds member_n = (n + ALPHA + 1) * P_n^(ALPHA + 1, 0)(2s - 1),
 
-with (p1, p2, a, b) fixed by which parameters equal -1.  The factored form is
-what makes weighted quadrature exact after the s-substitution, and it is used
-throughout assembly and projection.
+with ALPHA = 1/2.  This factored form makes weighted quadrature exact after
+the s-substitution; `MuntzBasis` carries its parameters for assembly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 from scipy.special import gammaln
@@ -77,104 +78,69 @@ def legendre_table(nmax: int, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Muntz-Jacobi family
 
+ALPHA = 0.5  # the family's first Jacobi parameter; the second is 1
+
 
 @dataclass(frozen=True)
 class MuntzBasis:
-    """Truncated Muntz-Jacobi family with parameters (alpha, beta), exponent
-    scale lam, and members indexed n = 0..n_modes-1."""
+    """Truncated Muntz-Jacobi family with exponent scale lam and members
+    indexed n = 0..nmax."""
 
-    alpha: float
-    beta: float
     lam: float
     nmax: int
 
+    # Jacobi parameters of member_n / (pref_n s) and d/ds member_n / (n + ALPHA + 1)
+    reduced: ClassVar[tuple[float, float]] = (ALPHA, 1.0)
+    derivative: ClassVar[tuple[float, float]] = (ALPHA + 1.0, 0.0)
+
     def __post_init__(self) -> None:
-        if not (-1.0 <= self.alpha < math.inf and -1.0 <= self.beta < math.inf):
-            raise ParameterDomainError(
-                f"parameters must be finite and >= -1, got alpha={self.alpha}, beta={self.beta}"
-            )
         if not (0.0 < self.lam <= 1.0):
             raise ParameterDomainError(f"exponent scale must lie in (0, 1], got {self.lam}")
         if self.nmax < 0:
             raise ParameterDomainError(f"highest index must be >= 0, got {self.nmax}")
 
     @property
-    def offset(self) -> int:
-        """Index offset of the lowest retained member (0, 1 or 2)."""
-        return int(self.alpha == -1.0) + int(self.beta == -1.0)
-
-    @property
     def n_modes(self) -> int:
         return self.nmax + 1
 
+    @property
+    def derivative_scales(self) -> np.ndarray:
+        """n + ALPHA + 1, the factor of the derivative table in d/ds member_n."""
+        return np.arange(self.n_modes, dtype=float) + ALPHA + 1.0
 
-def _branch(basis: MuntzBasis) -> tuple[int, int, float, float]:
-    """(p1, p2, inner_alpha, inner_beta) of the factored form in s = t^lam."""
-    a, b = basis.alpha, basis.beta
-    if a == -1.0 and b == -1.0:
-        return 1, 1, 1.0, 1.0
-    if b == -1.0:
-        return 1, 0, a, 1.0
-    if a == -1.0:
-        return 0, 1, 1.0, b
-    return 0, 0, a, b
-
-
-def _prefactors(basis: MuntzBasis) -> np.ndarray:
-    """Scalar prefactor of each member (includes the sign of the doubly-degenerate branch)."""
-    n = np.arange(basis.n_modes, dtype=float)
-    a, b = basis.alpha, basis.beta
-    if a == -1.0 and b == -1.0:
-        return -np.ones(basis.n_modes)
-    if b == -1.0:
-        return (n + a + 1.0) / (n + 1.0)
-    if a == -1.0:
-        return (n + b + 1.0) / (n + 1.0)
-    return np.ones(basis.n_modes)
-
-
-def _check_time_domain(t: np.ndarray) -> None:
-    if not np.all((t >= 0.0) & (t <= 1.0)):
-        raise ParameterDomainError("evaluation points must lie in [0, 1]")
+    @property
+    def prefactors(self) -> np.ndarray:
+        """pref_n = (n + ALPHA + 1) / (n + 1)."""
+        return self.derivative_scales / (np.arange(self.n_modes, dtype=float) + 1.0)
 
 
 def muntz_jacobi_table(basis: MuntzBasis, t) -> np.ndarray:
     """Values of all members at points t in [0, 1], one row per index n.
 
-    t = 0 and t = 1 are exact: s = t^lam is computed first and the boundary
-    factors s, 1-s vanish exactly there.
+    t = 0 is exact: s = t^lam is computed first and the factor s vanishes
+    exactly there.
     """
     t = np.asarray(t, dtype=float)
-    _check_time_domain(t)
+    if not np.all((t >= 0.0) & (t <= 1.0)):
+        raise ParameterDomainError("evaluation points must lie in [0, 1]")
     s = np.power(t, basis.lam)
-    p1, p2, a, b = _branch(basis)
-    table = jacobi_table(a, b, basis.nmax, 2.0 * s - 1.0)
-    factor = np.ones_like(s)
-    if p1:
-        factor = factor * s
-    if p2:
-        factor = factor * (1.0 - s)
-    pref = _prefactors(basis).reshape((basis.n_modes,) + (1,) * t.ndim)
-    return pref * factor * table
+    table = jacobi_table(*basis.reduced, basis.nmax, 2.0 * s - 1.0)
+    pref = basis.prefactors.reshape((basis.n_modes,) + (1,) * t.ndim)
+    return pref * s * table
 
 
 def muntz_norm(basis: MuntzBasis, n: int) -> float:
-    """Squared weighted norm of member n under the family's own weight.
-
-    The weight is lam (1-t^lam)^alpha t^((beta+1) lam - 1); the norm depends
-    only on (alpha, beta) and the absolute index n + offset.
-    """
+    """Squared weighted norm of member n under the family's own weight
+    lam (1-t^lam)^ALPHA / t; it does not depend on lam."""
     if not 0 <= n <= basis.nmax:
         raise ParameterDomainError(f"index must lie in 0..{basis.nmax}, got {n}")
-    m = n + basis.offset
-    a, b = basis.alpha, basis.beta
     logval = (
-        gammaln(m + a + 1.0)
-        + gammaln(m + b + 1.0)
-        - gammaln(m + 1.0)
-        - gammaln(m + a + b + 1.0)
+        gammaln(n + ALPHA + 2.0)
+        + gammaln(n + 1.0)
+        - gammaln(n + 2.0)
+        - gammaln(n + ALPHA + 1.0)
     )
-    return math.exp(logval) / (2.0 * m + a + b + 1.0)
+    return math.exp(logval) / (2.0 * n + ALPHA + 2.0)
 
 
 def muntz_project(
@@ -183,31 +149,27 @@ def muntz_project(
     """Weighted-orthogonal projection of f onto the truncated family.
 
     f must accept an array of points in [0, 1].  Integrals are evaluated after
-    the substitution s = t^lam with a Gauss-Jacobi rule whose weight absorbs
-    the family's boundary factors, so in-span integrands are exact.  Returns
-    the coefficients and the discrete weighted L2 truncation error at the
-    quadrature nodes.
+    the substitution s = t^lam, where the family's weight becomes
+    (1-s)^ALPHA / s and the members' factor s cancels its 1/s, with a
+    Gauss-Jacobi rule for (1-s)^ALPHA, so in-span integrands are exact.
+    Returns the coefficients and the discrete weighted L2 truncation error at
+    the quadrature nodes.
     """
     if n_quad < basis.n_modes:
         raise ParameterDomainError(
             f"need at least {basis.n_modes} quadrature points, got {n_quad}"
         )
-    p1, p2, a, b = _branch(basis)
-    rule = gauss_jacobi_unit(basis.alpha + p2, basis.beta + p1, n_quad)
+    rule = gauss_jacobi_unit(ALPHA, 0.0, n_quad)
     s = rule.nodes
     t_nodes = np.power(s, 1.0 / basis.lam)
     fv = np.asarray(f(t_nodes), dtype=float)
     if fv.shape != s.shape:
         raise ParameterDomainError("f must return one value per evaluation point")
-    poly = jacobi_table(a, b, basis.nmax, 2.0 * s - 1.0)
+    poly = jacobi_table(*basis.reduced, basis.nmax, 2.0 * s - 1.0)
     norms = np.array([muntz_norm(basis, k) for k in range(basis.n_modes)])
-    coeffs = _prefactors(basis) * (poly @ (rule.weights * fv)) / norms
+    coeffs = basis.prefactors * (poly @ (rule.weights * fv)) / norms
     resid = fv - coeffs @ muntz_jacobi_table(basis, t_nodes)
-    dev = rule.weights * resid * resid
-    if p1:
-        dev = dev / s
-    if p2:
-        dev = dev / (1.0 - s)
+    dev = rule.weights * resid * resid / s
     return coeffs, math.sqrt(max(float(np.sum(dev)), 0.0))
 
 
@@ -240,15 +202,11 @@ class SpatialBasis:
         return 1.0 / np.sqrt(4.0 * np.arange(self.n_modes) + 6.0)
 
 
-def _check_space_domain(x: np.ndarray) -> None:
-    if not np.all((x >= -1.0) & (x <= 1.0)):
-        raise ParameterDomainError("evaluation points must lie in [-1, 1]")
-
-
 def spatial_table(basis: SpatialBasis, x) -> np.ndarray:
     """Values of all members at x, one row per mode.  Exactly zero at x = +-1."""
     x = np.asarray(x, dtype=float)
-    _check_space_domain(x)
+    if not np.all((x >= -1.0) & (x <= 1.0)):
+        raise ParameterDomainError("evaluation points must lie in [-1, 1]")
     leg = legendre_table(basis.m_legendre, x)
     nm = basis.n_modes
     return basis.coeffs.reshape((nm,) + (1,) * x.ndim) * (leg[:nm] - leg[2 : nm + 2])

@@ -377,9 +377,10 @@ def _check_ref_errors(ref_error: np.ndarray) -> None:
 
 def _ratios(context: SolverContext, mu, nu, lams, ref_error) -> np.ndarray:
     """Normalized sample errors: the solve error at each sample's lambda over
-    its cached lambda = 1 reference error.  Arguments broadcast to one flat
-    sample axis, which is solved in groups of equal (mu, lambda); a failed
-    solve gives NaN and is logged as excluded."""
+    its cached lambda = 1 reference error, so at lambda = 1 every ratio is
+    exactly 1.  Arguments broadcast to one flat sample axis, which is solved
+    in groups of equal (mu, lambda); a failed solve gives NaN and is logged
+    as excluded."""
     mu, nu, lams, ref_error = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (mu, nu, lams, ref_error))
     )
@@ -514,20 +515,14 @@ def batch_loss(
     ref_error: np.ndarray,
     context: SolverContext,
     config: TrainingConfig,
-    lambda_override: float | None = None,
 ):
-    """Mean normalized error over the batch.
+    """Mean normalized error over the batch at the network's clamped lambdas.
 
-    With lambda_override the network is bypassed and every sample solves at
-    the given lambda with no clamping (so an override of 1 reproduces the
-    cached reference solves and the loss is exactly 1).  Returns (loss,
-    lambdas used, per-sample ratios with NaN marking excluded samples).
+    Returns (loss, lambdas used, per-sample ratios with NaN marking excluded
+    samples).
     """
     mu = np.asarray(mu, dtype=float)
-    if lambda_override is None:
-        lams = _clamp_lambda(forward_batch(net, mu), config)
-    else:
-        lams = np.full(mu.shape, float(lambda_override))
+    lams = _clamp_lambda(forward_batch(net, mu), config)
     ratios = _ratios(context, mu, nu, lams, ref_error)
     return _mean_kept(ratios, "every sample in the batch failed to solve"), lams, ratios
 

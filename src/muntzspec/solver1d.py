@@ -23,9 +23,9 @@ Each source keeps its own source cross-check, forcing and residual check.
 `solve_1d` is its one-source call.
 
 SolverConfig carries the equation (validated by the same check as the
-manufactured problems) and the discretization (lam, M, N); the temporal
-family parameter and inner rule size keep assembly's defaults.  Evaluation
-and the error report are shared with the 2D solver.
+manufactured problems) and the discretization (lam, M, N); the inner rule
+size keeps assembly's default.  The residual check, evaluation and the error
+report are shared with the 2D solver.
 """
 
 from __future__ import annotations
@@ -156,15 +156,16 @@ def _check_conditioning(cond: float, shape: str) -> bool:
 
 
 def _check_residual(residual: float, cond: float, warned: bool) -> None:
+    """Raise unless residual <= tol, so that NaN fails too; above COND_FAIL
+    it is a breakdown.  2D, with no condition figure, passes cond = 0."""
     tol = RESIDUAL_WARNED_TOL if warned else RESIDUAL_TOL
-    if residual <= tol:
-        return
-    if cond > COND_FAIL:
-        raise ConditioningError(
-            f"system condition estimate {cond:.3e} with residual {residual:.3e}: "
-            "the solve broke down"
-        )
-    raise NumericalFailure(f"solve residual {residual:.3e} exceeds {tol:.0e}")
+    if not residual <= tol:
+        if cond > COND_FAIL:
+            raise ConditioningError(
+                f"system condition estimate {cond:.3e} with residual {residual:.3e}: "
+                "the solve broke down"
+            )
+        raise NumericalFailure(f"solve residual {residual:.3e} exceeds {tol:.0e}")
 
 
 def _band_system(st, mt, mx, cx, kappa: float, rho: float) -> tuple[np.ndarray, int]:

@@ -7,13 +7,13 @@ only through time:
 
     a_c St u_c + kappa b_c Mt u_c = f_c,   a_c = nu_kx nu_ky,  b_c = nu_kx + nu_ky.
 
-The fast path solves these real (N+1) x (N+1) systems by batched LU; modes
-(kx, ky) and (ky, kx) share one matrix, so each unordered pair is one solve
-with two right-hand sides.  The dense path solves the unrotated Kronecker
-system as one LU and serves as the independent cross-checking oracle.
+These real (N+1) x (N+1) systems are solved by batched LU; modes (kx, ky)
+and (ky, kx) share one matrix, so each unordered pair is one solve with two
+right-hand sides.  The dense Kronecker system is solved only by the test
+oracle in tests/test_solver2d.py.
 
-Both paths take the 1D solver's SolverConfig with dimension = 2 and share
-its residual tolerance, time-domain check and ErrorReport.
+The solve takes the 1D solver's SolverConfig with dimension = 2 and shares
+its residual check, time-domain check and ErrorReport.
 """
 
 from __future__ import annotations
@@ -22,17 +22,18 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-# qz is unused here; it stays importable as solver2d.qz because the benchmark
-# tracer (bench/spans.py) wraps it, with eigh, lu_factor and lu_solve, by name.
+# qz, lu_factor and lu_solve are unused here; they stay importable as
+# solver2d.qz/lu_factor/lu_solve because the benchmark tracer (bench/spans.py)
+# wraps them, with eigh, by name.
 from scipy.linalg import eigh, lu_factor, lu_solve, qz  # noqa: F401
 
 from .assembly import SourceTerm, assemble_forcing_2d, assemble_spatial, assemble_temporal
 from .basis import MuntzBasis, SpatialBasis, muntz_jacobi_table, spatial_table
 from .errors import NumericalFailure, ParameterDomainError
 from .solver1d import (
-    RESIDUAL_TOL,
     ErrorReport,
     SolverConfig,
+    _check_residual,
     _check_source,
     _error_report,
     _residual_norm,
@@ -40,7 +41,6 @@ from .solver1d import (
 )
 
 __all__ = [
-    "DENSE_SIZE_LIMIT",
     "FourierLikeBasis",
     "Solution2D",
     "error_norms_2d",
@@ -48,10 +48,8 @@ __all__ = [
     "fourier_like_basis",
     "sigma_table",
     "solve_2d",
-    "solve_2d_dense",
 ]
 
-DENSE_SIZE_LIMIT = 20000
 # mode pairs per batched solve: bounds the stacked matrices to a few MB
 _PAIR_CHUNK = 256
 
@@ -107,26 +105,17 @@ class Solution2D:
     residual: float
 
 
-def _assemble_2d(config: SolverConfig, source: SourceTerm):
+def solve_2d(config: SolverConfig, source: SourceTerm) -> Solution2D:
+    """One real LU per unordered pair of rotated spatial modes, batched over
+    the pairs."""
     if config.dimension != 2:
         raise ParameterDomainError("solve_2d needs a dimension-2 configuration")
     _check_source(config, source)
     fb = fourier_like_basis(config.m_space)
     ops_t = assemble_temporal(config.n_time, config.mu, config.lam)
     st = ops_t.stiffness * config.t_end ** (-config.mu)
+    mt = ops_t.mass
     f_plain = assemble_forcing_2d(source, fb.spatial, ops_t.basis, t_end=config.t_end)
-    return fb, ops_t, st, ops_t.mass, f_plain
-
-
-def _check_residual(residual: float) -> None:
-    if residual > RESIDUAL_TOL:
-        raise NumericalFailure(f"2D solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}")
-
-
-def solve_2d(config: SolverConfig, source: SourceTerm) -> Solution2D:
-    """Fast path: one real LU per unordered pair of rotated spatial modes,
-    batched over the pairs."""
-    fb, ops_t, st, mt, f_plain = _assemble_2d(config, source)
     f_sigma = _rotate(fb, f_plain)
     w = fb.weights
     k = w.size
@@ -150,37 +139,7 @@ def solve_2d(config: SolverConfig, source: SourceTerm) -> Solution2D:
     b_diag = np.add.outer(w, w).ravel()
     applied = (st @ coeffs) * a_diag + config.kappa * (mt @ coeffs) * b_diag
     residual = _residual_norm(applied, f_sigma)
-    _check_residual(residual)
-    coeffs.flags.writeable = False
-    return Solution2D(config, fb, ops_t.basis, coeffs, residual)
-
-
-def solve_2d_dense(config: SolverConfig, source: SourceTerm) -> Solution2D:
-    """Oracle path: the unrotated Kronecker system
-
-        St (x) (Mx (x) Mx) + kappa Mt (x) (I (x) Mx + Mx (x) I)
-
-    solved as one dense LU; only the solved coefficients are rotated, so
-    that they compare with the fast path's."""
-    n_unknowns = (config.n_time + 1) * (config.m_space - 1) ** 2
-    if n_unknowns > DENSE_SIZE_LIMIT:
-        raise ParameterDomainError(
-            f"dense 2D path limited to {DENSE_SIZE_LIMIT} unknowns, got {n_unknowns}"
-        )
-    fb, ops_t, st, mt, f_plain = _assemble_2d(config, source)
-    mx = assemble_spatial(config.m_space).mass
-    eye = np.eye(mx.shape[0])
-    system = np.kron(st, np.kron(mx, mx)) + config.kappa * np.kron(
-        mt, np.kron(eye, mx) + np.kron(mx, eye)
-    )
-    lu, piv = lu_factor(system)
-    diag = np.abs(np.diag(lu))
-    if diag.min() == 0.0 or not np.all(np.isfinite(diag)):
-        raise NumericalFailure("dense 2D system is singular")
-    vec = lu_solve((lu, piv), f_plain.ravel())
-    residual = _residual_norm(system @ vec, f_plain.ravel())
-    _check_residual(residual)
-    coeffs = _rotate(fb, vec.reshape(f_plain.shape))
+    _check_residual(residual, 0.0, False)
     coeffs.flags.writeable = False
     return Solution2D(config, fb, ops_t.basis, coeffs, residual)
 

@@ -3,7 +3,7 @@
 Oracles used here: scipy.special.eval_jacobi and numpy.polynomial.legendre for
 polynomial values, Beta/Gamma closed forms for norms, Gauss quadrature for
 Gram matrices, and modified Gram-Schmidt on raw fractional monomials for the
-degenerate-parameter branch.  The derivative tables below are test oracles:
+temporal family.  The derivative tables below are test oracles:
 they are checked against numpy's Legendre derivatives and then show that the
 spatial basis has orthonormal derivatives (identity stiffness).
 """
@@ -100,49 +100,32 @@ class TestJacobiTable:
 
 class TestMuntzJacobi:
     def test_degenerate_second_parameter_lowest_member(self):
-        basis = MuntzBasis(0.5, -1.0, 0.5, 3)
+        basis = MuntzBasis(0.5, 3)
         t = np.array([0.04, 0.25, 0.81])
         np.testing.assert_allclose(muntz_jacobi_table(basis, t)[0], 1.5 * np.sqrt(t), rtol=1e-14)
 
-    def test_classical_parameters_reduce_to_shifted_legendre(self):
-        basis = MuntzBasis(0.0, 0.0, 1.0, 5)
-        t = np.linspace(0.0, 1.0, 7)
-        table = muntz_jacobi_table(basis, t)
-        for n in range(6):
-            ref = np.polynomial.legendre.legval(2.0 * t - 1.0, np.eye(6)[n])
-            np.testing.assert_allclose(table[n], ref, rtol=1e-12, atol=1e-13)
-
     def test_exponent_scale_only_rescales_argument(self):
         lam = 0.37
-        scaled = MuntzBasis(0.5, -1.0, lam, 4)
-        plain = MuntzBasis(0.5, -1.0, 1.0, 4)
+        scaled = MuntzBasis(lam, 4)
+        plain = MuntzBasis(1.0, 4)
         t = np.array([0.1, 0.4, 0.9])
         np.testing.assert_allclose(
             muntz_jacobi_table(scaled, t), muntz_jacobi_table(plain, t**lam), rtol=1e-13
         )
 
-    @pytest.mark.parametrize(("alpha", "beta"), [(0.5, -1.0), (-1.0, -1.0)])
-    def test_members_vanish_exactly_at_zero(self, alpha, beta):
-        basis = MuntzBasis(alpha, beta, 0.3, 4)
+    def test_members_vanish_exactly_at_zero(self):
+        basis = MuntzBasis(0.3, 4)
         assert np.all(muntz_jacobi_table(basis, np.array([0.0])) == 0.0)
 
-    @pytest.mark.parametrize(("alpha", "beta"), [(-1.0, 0.2), (-1.0, -1.0)])
-    def test_members_vanish_exactly_at_one(self, alpha, beta):
-        basis = MuntzBasis(alpha, beta, 0.3, 4)
-        assert np.all(muntz_jacobi_table(basis, np.array([1.0])) == 0.0)
-
-    @pytest.mark.parametrize(("alpha", "beta"), [(0.3, 0.4), (0.5, -1.0), (-1.0, 0.2), (-1.0, -1.0)])
     @pytest.mark.parametrize("lam", [1.0, 0.5, 0.3])
-    def test_weighted_gram_is_diagonal_with_closed_form_norms(self, alpha, beta, lam):
+    def test_weighted_gram_is_diagonal_with_closed_form_norms(self, lam):
         nmax = 6
-        basis = MuntzBasis(alpha, beta, lam, nmax)
-        p1 = 1 if beta == -1.0 else 0
-        p2 = 1 if alpha == -1.0 else 0
-        # absorb the squared boundary factors of the pair into the rule's weight
-        rule = gauss_jacobi_unit(alpha + 2 * p2, beta + 2 * p1, 64)
+        basis = MuntzBasis(lam, nmax)
+        # absorb the pair's squared factor s into the rule's weight
+        rule = gauss_jacobi_unit(0.5, 1.0, 64)
         s = rule.nodes
         table = muntz_jacobi_table(basis, np.power(s, 1.0 / lam))
-        scaled = table / np.power(s, p1) / np.power(1.0 - s, p2)
+        scaled = table / s
         gram = (scaled * rule.weights) @ scaled.T
         norms = np.array([muntz_norm(basis, k) for k in range(nmax + 1)])
         np.testing.assert_allclose(np.diag(gram), norms, rtol=1e-12)
@@ -151,8 +134,8 @@ class TestMuntzJacobi:
 
     def test_lowest_degenerate_norm_value(self):
         # Gamma(2.5) / (2.5 * Gamma(1.5)) = 0.6, independent of the exponent scale
-        assert muntz_norm(MuntzBasis(0.5, -1.0, 0.5, 2), 0) == pytest.approx(0.6, rel=1e-14)
-        assert muntz_norm(MuntzBasis(0.5, -1.0, 0.13, 2), 0) == pytest.approx(0.6, rel=1e-14)
+        assert muntz_norm(MuntzBasis(0.5, 2), 0) == pytest.approx(0.6, rel=1e-14)
+        assert muntz_norm(MuntzBasis(0.13, 2), 0) == pytest.approx(0.6, rel=1e-14)
 
     def test_degenerate_branch_matches_gram_schmidt_of_monomials(self):
         lam, alpha, nmax = 0.4, 0.5, 5
@@ -168,7 +151,7 @@ class TestMuntzJacobi:
             for q in ortho:
                 v -= np.sum(wchi * q * v) * q
             ortho.append(v / math.sqrt(np.sum(wchi * v * v)))
-        basis = MuntzBasis(alpha, -1.0, lam, nmax)
+        basis = MuntzBasis(lam, nmax)
         table = muntz_jacobi_table(basis, np.power(s, 1.0 / lam))
         for k in range(nmax + 1):
             got = table[k] / math.sqrt(muntz_norm(basis, k))
@@ -179,18 +162,10 @@ class TestMuntzJacobi:
 
     def test_domain_validation(self):
         with pytest.raises(ParameterDomainError):
-            MuntzBasis(0.5, -1.0, 0.0, 3)
+            MuntzBasis(0.0, 3)
         with pytest.raises(ParameterDomainError):
-            MuntzBasis(0.5, -1.0, 1.2, 3)
-        with pytest.raises(ParameterDomainError):
-            MuntzBasis(-1.5, 0.0, 0.5, 3)
-        with pytest.raises(ParameterDomainError):
-            MuntzBasis(float("nan"), -1.0, 0.5, 3)
-        with pytest.raises(ParameterDomainError):
-            MuntzBasis(0.5, float("nan"), 0.5, 3)
-        with pytest.raises(ParameterDomainError):
-            MuntzBasis(float("inf"), -1.0, 0.5, 3)
-        basis = MuntzBasis(0.5, -1.0, 0.5, 3)
+            MuntzBasis(1.2, 3)
+        basis = MuntzBasis(0.5, 3)
         with pytest.raises(ParameterDomainError):
             muntz_jacobi_table(basis, np.array([-0.1]))
         with pytest.raises(ParameterDomainError):
@@ -200,13 +175,13 @@ class TestMuntzJacobi:
 class TestMuntzProjection:
     def test_lowest_monomial_is_in_span(self):
         lam = 0.5
-        basis = MuntzBasis(0.5, -1.0, lam, 3)
+        basis = MuntzBasis(lam, 3)
         coeffs, err = muntz_project(lambda t: t**lam, basis, 48)
         assert err < 1e-12
         np.testing.assert_allclose(coeffs, [1.0 / 1.5, 0.0, 0.0, 0.0], atol=1e-13)
 
     def test_fractional_power_in_span_converges_to_machine_precision(self):
-        basis = MuntzBasis(0.5, -1.0, 0.2, 5)
+        basis = MuntzBasis(0.2, 5)
         coeffs, err = muntz_project(lambda t: t ** (3.0 / 5.0), basis, 64)
         assert err < 1e-12
         t = np.linspace(0.05, 0.95, 11)
@@ -216,13 +191,13 @@ class TestMuntzProjection:
     def test_fractional_power_with_unit_scale_decays_algebraically(self):
         errs = {}
         for nmax in (16, 32):
-            basis = MuntzBasis(0.5, -1.0, 1.0, nmax)
+            basis = MuntzBasis(1.0, nmax)
             _, errs[nmax] = muntz_project(lambda t: t ** (3.0 / 5.0), basis, 400)
         assert errs[32] < errs[16]
         assert errs[32] / errs[16] > 0.05
 
     def test_member_projects_to_unit_coefficient(self):
-        basis = MuntzBasis(-1.0, 0.2, 0.6, 4)
+        basis = MuntzBasis(0.6, 4)
         coeffs, err = muntz_project(lambda t: muntz_jacobi_table(basis, t)[2], basis, 48)
         expected = np.zeros(5)
         expected[2] = 1.0

@@ -15,7 +15,9 @@ from muntzspec import cli, mltune
 from muntzspec.assembly import ManufacturedProblem
 from muntzspec.errors import ParameterDomainError, StructuralError
 from muntzspec.solver1d import SolverConfig
-from muntzspec.solver2d import error_norms_2d, solve_2d_dense
+from muntzspec.solver2d import error_norms_2d
+
+from test_solver2d import solve_2d_dense
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -311,6 +313,20 @@ class TestSolveCommand:
         assert rows[0][0] == "2"
         # spatial truncation of the product mode dominates at M = 8
         assert float(rows[0][6]) < 1e-2
+
+    @pytest.mark.parametrize("kappa", ["1e300", "1e308"])
+    def test_2d_overflowing_diffusivity_exits_3(self, tmp_path, capsys, kappa):
+        # these once exited 0 and wrote a NaN residual or a nan,nan,nan row;
+        # the same configs in 1D exit 3
+        path = write_config(
+            tmp_path,
+            "[problem]\nmu = 0.5\nnu = 1.5\nrho = 0.0\ndimension = 2\n"
+            + f"kappa = {kappa}\n[discretization]\nM = 8\nN = 4\nlambda = 0.5\n",
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "errors.csv").exists()
 
     def test_2d_packaged_ann_lambda_matches_dense_oracle(self, tmp_path):
         # the 2D fast path once exited 3 here ("imaginary residue 1.404e-02")

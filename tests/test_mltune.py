@@ -287,10 +287,7 @@ class TestSampleError:
     def test_reference_error_must_be_positive(self):
         ctx = mt.SolverContext()
         with pytest.raises(StructuralError):
-            mt.batch_loss(
-                None, np.array([0.4]), np.array([0.55]), np.array([0.0]),
-                ctx, tiny_config(), lambda_override=0.5,
-            )
+            mt._ratios(ctx, np.array([0.4]), np.array([0.55]), 0.5, np.array([0.0]))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_nonfinite_reference_error_rejected(self, bad):
@@ -299,10 +296,7 @@ class TestSampleError:
         ctx = mt.SolverContext()
         refs = np.array([mt.sample_error(ctx, 0.4, 0.55, 1.0), bad])
         with pytest.raises(StructuralError):
-            mt.batch_loss(
-                None, np.array([0.4, 0.6]), np.array([0.55, 0.7]), refs,
-                ctx, tiny_config(), lambda_override=0.5,
-            )
+            mt._ratios(ctx, np.array([0.4, 0.6]), np.array([0.55, 0.7]), 0.5, refs)
         with pytest.raises(StructuralError):
             mt.Dataset("validation", np.array([0.4, 0.6]), np.array([0.55, 0.7]), refs, None, 1, 2)
         # the order and exponent checks reject the same values
@@ -345,29 +339,14 @@ class TestSampleError:
 
 class TestBatchLoss:
     def test_forced_reference_lambda_gives_exactly_one(self):
+        # the batch loss's path (_ratios, then _mean_kept) at lambda = 1
         ctx = mt.SolverContext()
-        cfg = tiny_config()
         mus = np.array([0.2, 0.5, 0.8])
         nus = np.array([0.3, 0.6, 0.9])
         refs = np.array([mt.sample_error(ctx, m, n, 1.0) for m, n in zip(mus, nus)])
-        net = mt.init_network(cfg.layer_sizes, cfg.negative_slope, np.random.default_rng(1))
-        loss, lams, ratios = mt.batch_loss(net, mus, nus, refs, ctx, cfg, lambda_override=1.0)
-        assert loss == 1.0
-        assert np.all(lams == 1.0)
+        ratios = mt._ratios(ctx, mus, nus, 1.0, refs)
+        assert mt._mean_kept(ratios, "every sample failed") == 1.0
         assert np.all(ratios == 1.0)
-
-    def test_override_bypasses_clamp(self):
-        # override 1.0 sits above clamp_hi yet is used verbatim
-        cfg = tiny_config()
-        assert cfg.clamp_hi < 1.0
-        ctx = mt.SolverContext()
-        net = mt.init_network(cfg.layer_sizes, cfg.negative_slope, np.random.default_rng(2))
-        _, lams, _ = mt.batch_loss(
-            net, np.array([0.4]), np.array([0.5]),
-            np.array([mt.sample_error(ctx, 0.4, 0.5, 1.0)]), ctx, cfg,
-            lambda_override=1.0,
-        )
-        assert lams[0] == 1.0
 
     def test_network_lambdas_are_clamped(self):
         cfg = tiny_config(clamp_lo=0.45, clamp_hi=0.55)
@@ -382,7 +361,6 @@ class TestBatchLoss:
 
     def test_failed_sample_excluded_with_warning(self, monkeypatch, caplog):
         ctx = mt.SolverContext()
-        cfg = tiny_config()
         mus = np.array([0.2, 0.6])
         nus = np.array([0.4, 0.7])
         refs = np.array([mt.sample_error(ctx, m, n, 1.0) for m, n in zip(mus, nus)])
@@ -395,9 +373,8 @@ class TestBatchLoss:
 
         monkeypatch.setattr(mt, "_group_errors", flaky)
         with caplog.at_level("WARNING", logger="muntzspec.mltune"):
-            loss, _, ratios = mt.batch_loss(
-                None, mus, nus, refs, ctx, cfg, lambda_override=0.5
-            )
+            ratios = mt._ratios(ctx, mus, nus, 0.5, refs)
+            loss = mt._mean_kept(ratios, "every sample failed")
         assert np.isnan(ratios[0]) and not np.isnan(ratios[1])
         assert loss == ratios[1]
         assert any("excluded" in rec.message for rec in caplog.records)
@@ -442,7 +419,7 @@ class TestBatchLoss:
             if failure == "conditioning":
                 raise ConditioningError("synthetic assembly breakdown")
             zero = np.zeros_like(ops.mass)
-            return TemporalOperators(ops.basis, ops.mu, ops.nhat, zero, zero)
+            return TemporalOperators(ops.basis, zero, zero)
 
         monkeypatch.setattr(solver1d, "assemble_temporal", broken)
         with caplog.at_level("WARNING", logger="muntzspec.mltune"):
@@ -458,12 +435,11 @@ class TestBatchLoss:
     def test_all_samples_failed_raises(self):
         # lambda below the solver floor fails every sample
         ctx = mt.SolverContext()
-        cfg = tiny_config()
         mus = np.array([0.3, 0.7])
         nus = np.array([0.4, 0.6])
-        refs = np.ones(2)
+        ratios = mt._ratios(ctx, mus, nus, 0.005, np.ones(2))
         with pytest.raises(NumericalFailure):
-            mt.batch_loss(None, mus, nus, refs, ctx, cfg, lambda_override=0.005)
+            mt._mean_kept(ratios, "every sample failed")
 
 
 class TestEndToEndGradient:
@@ -629,7 +605,7 @@ class TestTraining:
         train_ds = mt.generate_dataset("training", 2, 2, seed=2)
         val_ds = mt.generate_dataset("validation", 1, 1)
 
-        def inflated(net, mu, nu, ref, ctx, config, lambda_override=None):
+        def inflated(net, mu, nu, ref, ctx, config):
             return 1.5, np.full(mu.shape, 0.5), np.full(mu.shape, 1.5)
 
         monkeypatch.setattr(mt, "batch_loss", inflated)

@@ -271,7 +271,7 @@ def zero_temporal_operators(monkeypatch):
     def zero_operators(n, mu, lam, **kwargs):
         ops = original(n, mu, lam, **kwargs)
         zero = np.zeros_like(ops.mass)
-        return TemporalOperators(ops.basis, ops.mu, ops.nhat, zero, zero)
+        return TemporalOperators(ops.basis, zero, zero)
 
     monkeypatch.setattr(solver1d, "assemble_temporal", zero_operators)
 

@@ -1,28 +1,79 @@
 """2D solver tests: rotated-basis structure, trial-space exactness, and
-agreement between the per-mode fast path and the unrotated dense oracle."""
+agreement between the per-mode fast path and the unrotated dense oracle,
+which lives here (`solve_2d_dense`), next to the 1D one in test_solver1d.py."""
 
 import pathlib
 
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
+from scipy.linalg import lu_factor, lu_solve
 
 import muntzspec
 from muntzspec import mltune, solver2d
-from muntzspec.assembly import ManufacturedProblem, TemporalOperators, caputo_power
+from muntzspec.assembly import (
+    ManufacturedProblem,
+    TemporalOperators,
+    assemble_forcing_2d,
+    assemble_spatial,
+    assemble_temporal,
+    caputo_power,
+)
 from muntzspec.errors import NumericalFailure, ParameterDomainError
 from muntzspec.quadrature import gauss_jacobi
-from muntzspec.solver1d import ErrorReport, SolverConfig
+from muntzspec.solver1d import (
+    ErrorReport,
+    SolverConfig,
+    _check_residual,
+    _check_source,
+    _residual_norm,
+)
 from muntzspec.solver2d import (
+    Solution2D,
     error_norms_2d,
     evaluate_grid_2d,
     fourier_like_basis,
     sigma_table,
     solve_2d,
-    solve_2d_dense,
 )
 
 MODELS_DIR = pathlib.Path(muntzspec.__file__).resolve().parent / "models"
+DENSE_SIZE_LIMIT = 20000
+
+
+def solve_2d_dense(config, source):
+    """Oracle: the unrotated Kronecker system
+
+        St (x) (Mx (x) Mx) + kappa Mt (x) (I (x) Mx + Mx (x) I)
+
+    solved as one dense LU; only the solved coefficients are rotated, so
+    that they compare with solve_2d's."""
+    n_unknowns = (config.n_time + 1) * (config.m_space - 1) ** 2
+    if n_unknowns > DENSE_SIZE_LIMIT:
+        raise ParameterDomainError(
+            f"dense 2D path limited to {DENSE_SIZE_LIMIT} unknowns, got {n_unknowns}"
+        )
+    _check_source(config, source)
+    fb = fourier_like_basis(config.m_space)
+    ops_t = assemble_temporal(config.n_time, config.mu, config.lam)
+    st = ops_t.stiffness * config.t_end ** (-config.mu)
+    mt = ops_t.mass
+    f_plain = assemble_forcing_2d(source, fb.spatial, ops_t.basis, t_end=config.t_end)
+    mx = assemble_spatial(config.m_space).mass
+    eye = np.eye(mx.shape[0])
+    system = np.kron(st, np.kron(mx, mx)) + config.kappa * np.kron(
+        mt, np.kron(eye, mx) + np.kron(mx, eye)
+    )
+    lu, piv = lu_factor(system)
+    diag = np.abs(np.diag(lu))
+    if diag.min() == 0.0 or not np.all(np.isfinite(diag)):
+        raise NumericalFailure("dense 2D system is singular")
+    vec = lu_solve((lu, piv), f_plain.ravel())
+    residual = _residual_norm(system @ vec, f_plain.ravel())
+    _check_residual(residual, 0.0, False)
+    coeffs = solver2d._rotate(fb, vec.reshape(f_plain.shape))
+    coeffs.flags.writeable = False
+    return Solution2D(config, fb, ops_t.basis, coeffs, residual)
 
 
 def packaged_lambdas(mu):
@@ -96,7 +147,7 @@ class TestModeSolve:
         def zero_operators(n, mu, lam, **kwargs):
             ops = original(n, mu, lam, **kwargs)
             zero = np.zeros_like(ops.mass)
-            return TemporalOperators(ops.basis, ops.mu, ops.nhat, zero, zero)
+            return TemporalOperators(ops.basis, zero, zero)
 
         original = solver2d.assemble_temporal
         monkeypatch.setattr(solver2d, "assemble_temporal", zero_operators)
@@ -174,6 +225,16 @@ class TestSolve2D:
             solve_2d(cfg, prob)
         with pytest.raises(ParameterDomainError):
             solve_2d_dense(cfg, prob)
+
+    @pytest.mark.parametrize("kappa", [1e300, 1e308])
+    def test_overflowing_diffusivity_raises(self, kappa):
+        # kappa = 1e300 once returned a solution whose residual was NaN, which
+        # passed the residual check; 1e308 one with NaN coefficients, because
+        # the separable forcing's infinite time profile went unchecked
+        prob = ManufacturedProblem(mu=0.5, nu=1.5, kappa=kappa, rho=0.0, dim=2)
+        cfg = config_2d(mu=0.5, lam=0.5, kappa=kappa, m_space=8, n_time=4)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalFailure):
+            solve_2d(cfg, prob)
 
     # the orders and sizes at which the packaged ANN's λ once broke the 2D
     # fast path (a complex QZ of the nearly singular temporal pencil left an
