@@ -39,7 +39,6 @@ from .mltune import (
     forward,
     forward_batch,
     generate_dataset,
-    load_dataset,
     load_model,
     load_spline,
     save_dataset,

@@ -13,6 +13,14 @@ integrals that Gauss-Jacobi rules capture exactly or nearly exactly:
              convolution variable, with the smooth remainder
              ((1 - v^(1/lam)) / (1 - v))^(-mu) kept in the summand.
 
+`assemble_temporal` takes one (mu, lam) group or a stack of them.  A stack
+is assembled in one pass: each group still builds its own three rules, but
+each Jacobi table is one `jacobi_table` call over every group's nodes and
+the products are batched matmuls with a leading group axis.  Every group's
+operators come out bit for bit as that group alone gives them, and a group
+that fails leaves the others untouched.  `_forcing_rules` builds the
+forcing time matrices of a stack the same way.
+
 The equation's own parameters (mu, kappa, rho, dimension, t_end) are
 validated in one place, `_check_equation`, for both the solver configuration
 and the manufactured problems; `SourceTerm` is the one type of a right-hand
@@ -33,6 +41,7 @@ import numpy as np
 from .basis import (
     MuntzBasis,
     SpatialBasis,
+    _power_rows,
     jacobi_table,
     spatial_table,
 )
@@ -162,9 +171,8 @@ class TemporalOperators:
     mass: np.ndarray
 
 
-def assemble_temporal(n: int, mu: float, lam: float, nhat: int | None = None) -> TemporalOperators:
-    """Assemble the temporal operators for members 0..n; nhat + 1 is the
-    size of the inner rule (default `default_inner_points(n)`)."""
+def _check_temporal(mu: float, lam: float) -> None:
+    """Domain of one (mu, lam) group of the temporal assembly."""
     if not 0.0 < mu < 1.0:
         raise ParameterDomainError(f"fractional order must lie in (0, 1), got {mu}")
     _validate_lambda(lam)
@@ -173,41 +181,90 @@ def assemble_temporal(n: int, mu: float, lam: float, nhat: int | None = None) ->
         raise ConditioningError(
             f"mapped weight exponent {exp_outer:.3g} too large to assemble reliably"
         )
+
+
+def _rule_stack(rules) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of equal-size rules, one row per rule."""
+    return np.array([r.nodes for r in rules]), np.array([r.weights for r in rules])
+
+
+def assemble_temporal(n: int, mu, lam, nhat: int | None = None):
+    """Assemble the temporal operators for members 0..n; nhat + 1 is the
+    size of the inner rule (default `default_inner_points(n)`).
+
+    mu and lam are scalars for one group, which returns its
+    TemporalOperators or raises.  Equal-length 1-d sequences are a stack of
+    (mu, lam) groups assembled in one pass; it returns one entry per group,
+    its operators or the error that group alone raised.
+    """
+    if np.ndim(mu) == 0 and np.ndim(lam) == 0:
+        (ops,) = _assemble_temporal_stack(n, [mu], [lam], nhat)
+        if isinstance(ops, Exception):
+            raise ops
+        return ops
+    return _assemble_temporal_stack(n, mu, lam, nhat)
+
+
+def _assemble_temporal_stack(n: int, mus, lams, nhat: int | None) -> list:
+    """The stacked assembly: each group builds its own three rules, and every
+    table, product and scale runs once over all groups with a leading group
+    axis.  Every entry is computed by the same operations as a group alone
+    would be, so a group's operators do not depend on its companions."""
+    if len(mus) != len(lams):
+        raise StructuralError("one exponent scale per fractional order")
     if nhat is None:
         nhat = default_inner_points(n)
     if nhat < 1:
         raise ParameterDomainError(f"inner rule size must be positive, got {nhat}")
-    basis = MuntzBasis(lam, n)
-    pref = basis.prefactors
+    outcomes: list = []
+    for mu, lam in zip(mus, lams):
+        try:
+            _check_temporal(mu, lam)
+            outcomes.append(MuntzBasis(float(lam), n))
+        except (ConditioningError, ParameterDomainError) as exc:
+            outcomes.append(exc)
+    live = [g for g, b in enumerate(outcomes) if isinstance(b, MuntzBasis)]
+    if not live:
+        return outcomes
+    mu = np.array([float(mus[g]) for g in live])
+    lam = np.array([outcomes[g].lam for g in live])
+    pref = outcomes[live[0]].prefactors
+    dscale = outcomes[live[0]].derivative_scales
+    exp_outer = (1.0 - mu) / lam + 1.0
 
     # mass: exact, one rule; both members contribute a factor s and the
-    # substitution contributes s^(1/lam - 1) ds
-    mass_rule = gauss_jacobi_unit(0.0, 1.0 + 1.0 / lam, n + 1)
-    ptab = jacobi_table(*basis.reduced, n, 2.0 * mass_rule.nodes - 1.0)
-    mass = np.outer(pref, pref) * ((ptab * mass_rule.weights) @ ptab.T) / lam
-    mass = 0.5 * (mass + mass.T)
+    # substitution contributes s^(1/lam - 1) ds.  Stiffness: an outer rule
+    # over the test variable and an inner rule over the convolution variable.
+    s_mass, w_mass = _rule_stack([gauss_jacobi_unit(0.0, 1.0 + 1.0 / l, n + 1) for l in lam])
+    zeta, w_out = _rule_stack([gauss_jacobi_unit(0.0, e, n + 1) for e in exp_outer])
+    zhat, w_in = _rule_stack([gauss_jacobi_unit(-m, 0.0, nhat + 1) for m in mu])
+    # the mass and outer nodes share the reduced table: (test, rule, group, node)
+    tab = jacobi_table(*MuntzBasis.reduced, n, 2.0 * np.array([s_mass, zeta]) - 1.0)
+    ptab = tab[:, 0].transpose(1, 0, 2)  # (group, test, node)
+    qtab = tab[:, 1].transpose(1, 0, 2)
+    mass = np.outer(pref, pref) * (
+        (ptab * w_mass[:, None, :]) @ ptab.transpose(0, 2, 1)
+    ) / lam[:, None, None]
+    mass = 0.5 * (mass + mass.transpose(0, 2, 1))
 
     # stiffness: the derivative identity lowers the trial member to the
     # derivative table and cancels the trial prefactor's denominator
-    outer_rule = gauss_jacobi_unit(0.0, exp_outer, n + 1)
-    zeta, w_out = outer_rule.nodes, outer_rule.weights
-    inner_rule = gauss_jacobi_unit(-mu, 0.0, nhat + 1)
-    zhat, w_in = inner_rule.nodes, inner_rule.weights
     log_zhat = np.log(zhat)
     # (1 - v^(1/lam)) / (1 - v), evaluated stably near v = 1
-    smooth = -np.expm1(log_zhat / lam) / (1.0 - zhat)
-    weights_in = w_in * np.power(smooth, -mu)
-    args = 2.0 * zeta[:, None] * zhat[None, :] - 1.0
-    jt = jacobi_table(*basis.derivative, n, args)  # (trial, outer, inner)
-    inner = jt @ weights_in  # (trial, outer)
-    qtab = jacobi_table(*basis.reduced, n, 2.0 * zeta - 1.0)  # (test, outer)
-    core = (qtab * w_out) @ inner.T  # [test q, trial n]
-    stiffness = (
-        np.outer(pref, basis.derivative_scales) * core / (lam * math.gamma(1.0 - mu))
-    )
-    if not (np.all(np.isfinite(stiffness)) and np.all(np.isfinite(mass))):
-        raise NumericalFailure("temporal operator assembly produced non-finite entries")
-    return TemporalOperators(basis, stiffness, mass)
+    smooth = -np.expm1(log_zhat / lam[:, None]) / (1.0 - zhat)
+    weights_in = w_in * _power_rows(smooth, -mu)
+    args = 2.0 * zeta[:, :, None] * zhat[:, None, :] - 1.0
+    jt = jacobi_table(*MuntzBasis.derivative, n, args)  # (trial, group, outer, inner)
+    inner = (jt @ weights_in[:, :, None])[..., 0].transpose(1, 0, 2)  # (group, trial, outer)
+    core = (qtab * w_out[:, None, :]) @ inner.transpose(0, 2, 1)  # [group, test q, trial n]
+    denom = np.array([l * math.gamma(1.0 - m) for m, l in zip(mu, lam)])
+    stiffness = np.outer(pref, dscale) * core / denom[:, None, None]
+    for k, g in enumerate(live):
+        if np.all(np.isfinite(stiffness[k])) and np.all(np.isfinite(mass[k])):
+            outcomes[g] = TemporalOperators(outcomes[g], stiffness[k], mass[k])
+        else:
+            outcomes[g] = NumericalFailure("temporal operator assembly produced non-finite entries")
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -277,18 +334,19 @@ def _spatial_forcing_rule(m_legendre: int):
     return srule.nodes, srule.weights, phi
 
 
-def _forcing_rules(sbasis: SpatialBasis, tbasis: MuntzBasis, t_end: float):
+def _forcing_rules(sbasis: SpatialBasis, tbases: list[MuntzBasis], t_end: float):
     """Quadrature shared by the forcing assemblers: Gauss-Legendre nodes x,
-    weights wx and basis table phi in space; in time the physical nodes and
-    the matrix T with T[n, k] = w_k * member_n(s_k-form), so that
-    (g, member_n) = sum_k T[n, k] g(tau_k)."""
+    weights wx and basis table phi in space; in time, for every basis of a
+    stack with one highest index, the physical nodes (one row per basis) and
+    the matrix T with T[g, n, k] = w_k * member_n(s_k-form) / lam, so that
+    (g, member_n) = sum_k T[g, n, k] g(tau_k)."""
     x, wx, phi = _spatial_forcing_rule(sbasis.m_legendre)
-    lam = tbasis.lam
-    rule = gauss_jacobi_unit(0.0, 1.0 / lam, 2 * tbasis.nmax + 20)
-    s = rule.nodes
-    tau = np.power(s, 1.0 / lam)
-    ptab = jacobi_table(*tbasis.reduced, tbasis.nmax, 2.0 * s - 1.0)
-    tmat = tbasis.prefactors[:, None] * ptab * rule.weights / lam
+    nmax = tbases[0].nmax
+    lam = np.array([b.lam for b in tbases])
+    s, w = _rule_stack([gauss_jacobi_unit(0.0, 1.0 / l, 2 * nmax + 20) for l in lam])
+    tau = _power_rows(s, 1.0 / lam)
+    ptab = jacobi_table(*MuntzBasis.reduced, nmax, 2.0 * s - 1.0).transpose(1, 0, 2)
+    tmat = tbases[0].prefactors[:, None] * ptab * w[:, None, :] / lam[:, None, None]
     return x, wx, phi, tau * t_end, tmat
 
 
@@ -307,18 +365,23 @@ def assemble_forcing_1d(
     t = tau * t_end.  source is a ManufacturedProblem or a callable f(x, t)
     that broadcasts over arrays.
     """
-    return _project_forcing_1d(source, _forcing_rules(sbasis, tbasis, t_end))
+    x, wx, phi, t_phys, tmat = _forcing_rules(sbasis, [tbasis], t_end)
+    return _project_forcing_1d(_forcing_values_1d(source, x, t_phys[0]), tmat[0], wx, phi)
 
 
-def _project_forcing_1d(source: SourceTerm, rules) -> np.ndarray:
-    """assemble_forcing_1d on rules from `_forcing_rules`, which sources
-    solved under one configuration share."""
-    x, wx, phi, t_phys, tmat = rules
+def _forcing_values_1d(source: SourceTerm, x: np.ndarray, t_phys: np.ndarray) -> np.ndarray:
+    """The source on the (time, space) node grid, checked to be finite."""
     f = source.forcing if isinstance(source, ManufacturedProblem) else source
     fvals = np.asarray(f(x[None, :], t_phys[:, None]), dtype=float)
     if fvals.shape != (t_phys.size, x.size):
         raise StructuralError("forcing must broadcast over (time, space) node arrays")
     _check_finite(fvals, "forcing")
+    return fvals
+
+
+def _project_forcing_1d(fvals, tmat, wx, phi) -> np.ndarray:
+    """Forcing matrices from node values; fvals and tmat may carry a leading
+    source axis, which sources of a stacked solve share."""
     return tmat @ fvals @ (wx[:, None] * phi.T)
 
 
@@ -330,7 +393,8 @@ def assemble_forcing_2d(
     Separable manufactured sources use two 1D passes; generic callables
     f(x, y, t) are evaluated on the full tensor grid.
     """
-    x, wx, phi, t_phys, tmat = _forcing_rules(sbasis, tbasis, t_end)
+    x, wx, phi, t_phys, tmat = _forcing_rules(sbasis, [tbasis], t_end)
+    t_phys, tmat = t_phys[0], tmat[0]
     nm = sbasis.n_modes
     if isinstance(source, ManufacturedProblem):
         if source.dim != 2:

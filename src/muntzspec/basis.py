@@ -40,7 +40,9 @@ def jacobi_table(alpha: float, beta: float, nmax: int, x: np.ndarray) -> np.ndar
     """Values of the Jacobi polynomials P_0..P_nmax at x, one row per degree.
 
     Ascending three-term recurrence; stable for the degree range used here
-    (tens of modes).  Requires alpha, beta > -1.
+    (tens of modes).  Requires alpha, beta > -1.  The recurrence runs on the
+    flattened points with in-place products, which is cheaper for the
+    stacked tables and leaves every value as it is.
     """
     if not (alpha > -1.0 and beta > -1.0):
         raise ParameterDomainError(
@@ -49,18 +51,28 @@ def jacobi_table(alpha: float, beta: float, nmax: int, x: np.ndarray) -> np.ndar
     if nmax < 0:
         raise ParameterDomainError(f"highest degree must be >= 0, got {nmax}")
     x = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1,) + x.shape)
+    shape = x.shape
+    x = x.ravel()
+    out = np.empty((nmax + 1, x.size))
     out[0] = 1.0
     if nmax >= 1:
         out[1] = 0.5 * (alpha + beta + 2.0) * x + 0.5 * (alpha - beta)
     ab = alpha + beta
+    lead = np.empty(x.size)
     for k in range(2, nmax + 1):
         c1 = 2.0 * k * (k + ab) * (2.0 * k + ab - 2.0)
         c2 = (2.0 * k + ab - 1.0) * (2.0 * k + ab) * (2.0 * k + ab - 2.0)
         c3 = (2.0 * k + ab - 1.0) * (alpha * alpha - beta * beta)
         c4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + ab)
-        out[k] = ((c2 * x + c3) * out[k - 1] - c4 * out[k - 2]) / c1
-    return out
+        # out[k] = ((c2 x + c3) out[k-1] - c4 out[k-2]) / c1
+        row = out[k]
+        np.multiply(x, c2, lead)
+        lead += c3
+        lead *= out[k - 1]
+        np.multiply(out[k - 2], c4, row)
+        np.subtract(lead, row, row)
+        row /= c1
+    return out.reshape((nmax + 1,) + shape)
 
 
 def legendre_table(nmax: int, x: np.ndarray) -> np.ndarray:
@@ -114,6 +126,14 @@ class MuntzBasis:
         return self.derivative_scales / (np.arange(self.n_modes, dtype=float) + 1.0)
 
 
+def _power_rows(base: np.ndarray, exponents) -> np.ndarray:
+    """np.power(base[g], exponents[g]) for every row g, each with a scalar
+    exponent: numpy rounds some scalar powers (x^2, x^0.5, x^-1) by other
+    paths than an array of exponents, so a row of a stack gets the bits the
+    same call on that row alone gives."""
+    return np.array([np.power(row, float(e)) for row, e in zip(base, exponents)])
+
+
 def muntz_jacobi_table(basis: MuntzBasis, t) -> np.ndarray:
     """Values of all members at points t in [0, 1], one row per index n.
 
@@ -121,11 +141,19 @@ def muntz_jacobi_table(basis: MuntzBasis, t) -> np.ndarray:
     exactly there.
     """
     t = np.asarray(t, dtype=float)
+    return _muntz_table_stack([basis], t[None])[:, 0]
+
+
+def _muntz_table_stack(bases: list[MuntzBasis], t) -> np.ndarray:
+    """Members of bases sharing one highest index, at points t[g] for basis
+    g: shape (n, g) + t[g].shape, each entry as `muntz_jacobi_table` gives
+    it for its basis alone."""
+    t = np.asarray(t, dtype=float)
     if not np.all((t >= 0.0) & (t <= 1.0)):
         raise ParameterDomainError("evaluation points must lie in [0, 1]")
-    s = np.power(t, basis.lam)
-    table = jacobi_table(*basis.reduced, basis.nmax, 2.0 * s - 1.0)
-    pref = basis.prefactors.reshape((basis.n_modes,) + (1,) * t.ndim)
+    s = _power_rows(t, [b.lam for b in bases])
+    table = jacobi_table(*MuntzBasis.reduced, bases[0].nmax, 2.0 * s - 1.0)
+    pref = bases[0].prefactors.reshape((bases[0].n_modes,) + (1,) * t.ndim)
     return pref * s * table
 
 

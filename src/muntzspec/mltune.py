@@ -7,15 +7,20 @@ the predicted lambda divided by the error of the classical lambda = 1 solve
 for the same sample; the denominator is lambda-independent and cached with
 the dataset.  One loop, `_ratios`, turns solves into these ratios for the
 batch loss, its gradient and the spline's profile loss.  Since lambda
-depends only on mu, it groups its samples by (mu, lambda) and solves each
-group in `_group_errors`: one factorization, every nu one more right-hand
-side, one temporal table for the error grid.  A failed solve gives NaN, is
-logged as excluded and leaves its sample out of the mean; a failure of the
-group's shared system does so for every sample of the group.  The gradient
-with respect to lambda is a central finite difference (two extra small
-solves), chained into analytic backpropagation through the network.  One
-bias-corrected Adam update (`adam_step`) descends both the network's weights
-and the spline baseline's per-knot lambda.
+depends only on mu, `_sample_errors` groups the samples by (mu, lambda):
+each group is one factorization with every nu one more right-hand side, and
+all groups of the call are solved in one stacked pass
+(`solver1d.solve_1d_groups`) and their error tables built together.  A
+training step is one such pass: the gradient with respect to lambda is a
+central finite difference, and the batch's lambda and both stencil points
+lambda +- h go to a single `_ratios` call, as do the spline's two profile
+probes and a dataset's lambda = 1 reference solves.  A sample's error does
+not depend on what it is stacked with.  A failed solve gives NaN, is logged
+as excluded and leaves its sample out of the mean; a failure of a group's
+shared system does so for every sample of that group alone.  The
+finite-difference slope is chained into analytic backpropagation through
+the network.  One bias-corrected Adam update (`adam_step`) descends both the
+network's weights and the spline baseline's per-knot lambda.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
@@ -31,7 +36,7 @@ import numpy as np
 from scipy.special import expit
 
 from .assembly import ManufacturedProblem
-from .basis import SpatialBasis, muntz_jacobi_table, spatial_table
+from .basis import SpatialBasis, _muntz_table_stack, _power_rows, spatial_table
 from .errors import (
     NumericalFailure,
     ParameterDomainError,
@@ -39,7 +44,7 @@ from .errors import (
     TrainingFailure,
 )
 from .quadrature import gauss_jacobi, gauss_jacobi_unit
-from .solver1d import SolverConfig, solve_1d_group
+from .solver1d import SolverConfig, _fortran_stack, solve_1d_groups
 # solve_1d and evaluate_grid are unused here; they stay importable as
 # mltune.solve_1d/evaluate_grid because the benchmark tracer wraps them by name.
 from .solver1d import evaluate_grid, solve_1d  # noqa: F401
@@ -62,7 +67,6 @@ __all__ = [
     "forward_batch",
     "generate_dataset",
     "init_network",
-    "load_dataset",
     "load_model",
     "load_spline",
     "sample_error",
@@ -306,13 +310,17 @@ class SolverContext:
     t_end: float = 1.0
 
     def solver_config(self, mu: float, lam: float) -> SolverConfig:
-        return SolverConfig(mu=mu, lam=lam, **asdict(self))
+        return SolverConfig(mu=mu, lam=lam, **vars(self))
 
 
-def _error_grid(context: SolverContext, lam: float):
-    """Spatial Gauss-Legendre nodes x temporal mass-rule nodes at this lam."""
+def _error_grid(context: SolverContext, lams):
+    """Spatial Gauss-Legendre nodes x temporal mass-rule nodes, one row of
+    temporal nodes per lam in lams."""
     xs = gauss_jacobi(0.0, 0.0, context.m_space - 1).nodes
-    ts = gauss_jacobi_unit(0.0, 1.0 + 1.0 / lam, context.n_time + 1).nodes ** (1.0 / lam)
+    ts = np.array([
+        gauss_jacobi_unit(0.0, 1.0 + 1.0 / lam, context.n_time + 1).nodes ** (1.0 / lam)
+        for lam in lams
+    ])
     return xs, ts * context.t_end
 
 
@@ -326,38 +334,70 @@ def _spatial_error_table(m_space: int) -> np.ndarray:
     return table
 
 
-def _group_errors(context: SolverContext, mu: float, lam: float, nus) -> list:
-    """Frobenius norms of the nodal solution errors of the samples (mu, nu),
-    nu in nus, all solved at lam with one factorization.
+def _sample_errors(context: SolverContext, mu, nu, lams) -> list:
+    """Frobenius norms of the nodal solution errors of the samples
+    (mu_i, nu_i) solved at lams_i, in one stacked pass.
 
-    Returns one entry per nu: its error, or the error its own solve raised.
-    A failure of the shared system raises.
+    The arguments broadcast to one flat sample axis.  Samples of equal
+    (mu, lambda) form a group that shares one factorization, every nu one
+    more right-hand side; all groups are solved by one `solve_1d_groups`
+    call and their error tables built together.  Returns one entry per
+    sample: its error, or the error its solve raised, its own or its
+    group's shared system's.
     """
-    problems = [
-        ManufacturedProblem(mu=mu, nu=nu, kappa=context.kappa, rho=context.rho, t_end=context.t_end)
-        for nu in nus
-    ]
-    outcomes = solve_1d_group(context.solver_config(mu, lam), problems)
-    xs, ts = _error_grid(context, lam)
-    spatial = _spatial_error_table(context.m_space)
-    temporal = None
-    errors = []
-    for problem, solution in zip(problems, outcomes):
-        if isinstance(solution, Exception):
-            errors.append(solution)
+    mu, nu, lams = (a.ravel() for a in np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (mu, nu, lams))
+    ))
+    members: dict[tuple[float, float], list[int]] = {}
+    for i in range(mu.size):
+        members.setdefault((mu[i], lams[i]), []).append(i)
+    out: list = [None] * mu.size
+    configs, problems, groups = [], [], []
+    for (m, lam), idx in members.items():
+        try:
+            configs.append(context.solver_config(m, lam))
+        except ParameterDomainError as exc:
+            for i in idx:
+                out[i] = exc
             continue
-        if temporal is None:
-            # evaluate_grid's tables, built once for the group
-            temporal = muntz_jacobi_table(solution.temporal, ts / context.t_end)
-        approx = temporal.T @ solution.coeffs @ spatial
-        exact = problem.exact(xs[None, :], ts[:, None])
-        errors.append(float(np.linalg.norm(approx - exact)))
-    return errors
+        groups.append(idx)
+        problems.append([
+            ManufacturedProblem(mu=m, nu=nu[i], kappa=context.kappa, rho=context.rho,
+                                t_end=context.t_end)
+            for i in idx
+        ])
+    solved = []  # (sample, group row, solution)
+    for g, (idx, outcomes) in enumerate(zip(groups, solve_1d_groups(configs, problems))):
+        if isinstance(outcomes, Exception):
+            outcomes = [outcomes] * len(idx)
+        for i, outcome in zip(idx, outcomes):
+            if isinstance(outcome, Exception):
+                out[i] = outcome
+            else:
+                solved.append((i, g, outcome))
+    if not solved:
+        return out
+    # evaluate_grid's tables on the error grid, built once for every group
+    # with a solved sample
+    rows = sorted({g for _, g, _ in solved})
+    bases = {g: s.temporal for _, g, s in solved}
+    xs, ts = _error_grid(context, [bases[g].lam for g in rows])
+    row = {g: r for r, g in enumerate(rows)}
+    at = [row[g] for _, g, _ in solved]
+    # (member, sample, time node); each sample's transposed table is a view
+    # of the same orientation as evaluate_grid's
+    temporal = _muntz_table_stack([bases[g] for g in rows], ts / context.t_end)[:, at]
+    coeffs = _fortran_stack([s.coeffs for _, _, s in solved])
+    approx = temporal.transpose(1, 2, 0) @ coeffs @ _spatial_error_table(context.m_space)
+    samples = np.array([i for i, _, _ in solved])
+    exact = _power_rows(ts[at][:, :, None], nu[samples]) * np.sin(np.pi * xs)
+    for i, diff in zip(samples, approx - exact):
+        out[i] = float(np.linalg.norm(diff))
+    return out
 
 
 def _solved(errors: list) -> list[float]:
-    """The errors of a group that must all have solved; raises the first
-    failure."""
+    """Errors that must all have solved; raises the first failure."""
     for error in errors:
         if isinstance(error, Exception):
             raise error
@@ -366,7 +406,7 @@ def _solved(errors: list) -> list[float]:
 
 def sample_error(context: SolverContext, mu: float, nu: float, lam: float) -> float:
     """Frobenius norm of the nodal solution error for one (mu, nu) at lam."""
-    return _solved(_group_errors(context, mu, lam, [nu]))[0]
+    return _solved(_sample_errors(context, mu, nu, lam))[0]
 
 
 def _check_ref_errors(ref_error: np.ndarray) -> None:
@@ -379,29 +419,21 @@ def _ratios(context: SolverContext, mu, nu, lams, ref_error) -> np.ndarray:
     """Normalized sample errors: the solve error at each sample's lambda over
     its cached lambda = 1 reference error, so at lambda = 1 every ratio is
     exactly 1.  Arguments broadcast to one flat sample axis, which is solved
-    in groups of equal (mu, lambda); a failed solve gives NaN and is logged
-    as excluded."""
+    in one stacked pass (`_sample_errors`); a failed solve gives NaN and is
+    logged as excluded."""
     mu, nu, lams, ref_error = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (mu, nu, lams, ref_error))
     )
     _check_ref_errors(ref_error)
-    groups: dict[tuple[float, float], list[int]] = {}
-    for i in range(mu.size):
-        groups.setdefault((mu[i], lams[i]), []).append(i)
     errors = np.full(mu.shape, np.nan)
-    for (m, lam), members in groups.items():
-        try:
-            outcomes = _group_errors(context, m, lam, nu[members])
-        except (NumericalFailure, ParameterDomainError) as exc:
-            outcomes = [exc] * len(members)
-        for i, outcome in zip(members, outcomes):
-            if isinstance(outcome, Exception):
-                logger.warning(
-                    "sample (mu=%.6g, nu=%.6g, lam=%.6g) excluded: %s",
-                    mu[i], nu[i], lams[i], outcome,
-                )
-            else:
-                errors[i] = outcome
+    for i, outcome in enumerate(_sample_errors(context, mu, nu, lams)):
+        if isinstance(outcome, Exception):
+            logger.warning(
+                "sample (mu=%.6g, nu=%.6g, lam=%.6g) excluded: %s",
+                mu.flat[i], nu.flat[i], lams.flat[i], outcome,
+            )
+        else:
+            errors.flat[i] = outcome
     return errors / ref_error
 
 
@@ -477,7 +509,7 @@ def generate_dataset(
     mu = np.repeat(mu_axis, n_nu)
     nu = np.tile(nu_axis, n_mu)
     # mu repeats each axis value over the nu axis: one group per order
-    ref = np.concatenate([_solved(_group_errors(context, m, 1.0, nu_axis)) for m in mu_axis])
+    ref = np.array(_solved(_sample_errors(context, mu, nu, 1.0)))
     for arr in (mu, nu, ref):
         arr.flags.writeable = False
     return Dataset(kind, mu, nu, ref, seed, n_mu, n_nu)
@@ -488,16 +520,6 @@ def save_dataset(dataset: Dataset, path: str) -> None:
         handle.write("mu,nu,ref_error\n")
         for m, n, r in zip(dataset.mu, dataset.nu, dataset.ref_error):
             handle.write(f"{m:.17g},{n:.17g},{r:.17g}\n")
-
-
-def load_dataset(path: str, kind: str, n_mu: int, n_nu: int, seed: int | None = None) -> Dataset:
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if rows.shape[1] != 3:
-        raise StructuralError(f"dataset file must have three columns, found {rows.shape[1]}")
-    mu, nu, ref = rows[:, 0].copy(), rows[:, 1].copy(), rows[:, 2].copy()
-    for arr in (mu, nu, ref):
-        arr.flags.writeable = False
-    return Dataset(kind, mu, nu, ref, seed, n_mu, n_nu)
 
 
 # ---------------------------------------------------------------------------
@@ -537,15 +559,17 @@ def _loss_and_gradient(
 ):
     """Batch loss plus its gradient w.r.t. network parameters.
 
-    dLoss/dlambda_i comes from a central finite difference (two extra
-    solves); the clamp passes the gradient straight through.  A sample is
-    left out of both when any of its three solves fails.
+    dLoss/dlambda_i comes from a central finite difference, solved with
+    lambda in the same stacked pass; the clamp passes the gradient straight
+    through.  A sample is left out of both when any of its three solves
+    fails.
     """
     lams = _clamp_lambda(forward_batch(net, mu), config)
     h = config.fd_step
-    ratios = _ratios(context, mu, nu, lams, ref_error)
-    plus = _ratios(context, mu, nu, lams + h, ref_error)
-    minus = _ratios(context, mu, nu, lams - h, ref_error)
+    ratios, plus, minus = _ratios(
+        context, np.tile(mu, 3), np.tile(nu, 3),
+        np.concatenate([lams, lams + h, lams - h]), np.tile(ref_error, 3),
+    ).reshape(3, -1)
     dratio = (plus - minus) / (2.0 * h)
     ratios[np.isnan(dratio)] = np.nan
     loss = _mean_kept(ratios, "every sample in the batch failed to solve")
@@ -694,10 +718,13 @@ class SplineModel:
             raise StructuralError("knot orders must be strictly ascending")
 
 
-def _profile_loss(context, mu, nus, refs, lam):
-    """Mean normalized error over the nu-profile at one (mu, lam)."""
-    ratios = _ratios(context, mu, nus, lam, refs)
-    return _mean_kept(ratios, f"every profile solve failed at mu={mu:.6g}")
+def _profile_losses(context, mu, nus, refs, lams) -> list[float]:
+    """Mean normalized error over the nu-profile at (mu, lam) for each lam
+    in lams, all solved in one stacked pass."""
+    ratios = _ratios(context, mu, np.tile(nus, len(lams)), np.repeat(lams, nus.size),
+                     np.tile(refs, len(lams)))
+    failure = f"every profile solve failed at mu={mu:.6g}"
+    return [_mean_kept(r, failure) for r in ratios.reshape(len(lams), -1)]
 
 
 def _scalar_adam_lambda(
@@ -720,8 +747,7 @@ def _scalar_adam_lambda(
     best = math.inf
     small_improvements = 0
     for _ in range(iterations):
-        plus = _profile_loss(context, mu, nus, refs, min(lam[0] + h, 1.0))
-        minus = _profile_loss(context, mu, nus, refs, lam[0] - h)
+        plus, minus = _profile_losses(context, mu, nus, refs, [min(lam[0] + h, 1.0), lam[0] - h])
         grad = (plus - minus) / (2.0 * h)
         adam_step(state, [lam], [np.array([grad])], config.lr_base, config)
         np.clip(lam, lo, hi, out=lam)
@@ -767,7 +793,7 @@ def spline_fit(
     lams = np.empty(n_knots)
     flags = np.zeros(n_knots, dtype=bool)
     for i, mu in enumerate(mu_knots):
-        refs = np.array(_solved(_group_errors(context, mu, 1.0, nus)))
+        refs = np.array(_solved(_sample_errors(context, mu, nus, 1.0)))
         lams[i], flags[i] = _scalar_adam_lambda(
             context, config, mu, nus, refs, lo, hi, iterations
         )

@@ -2,8 +2,13 @@
 
 A rule for the weight (1-x)^alpha (1+x)^beta on [-1, 1] is obtained from the
 eigendecomposition of the symmetric tridiagonal Jacobi matrix of the weight's
-three-term recurrence.  Rules are cached and immutable, and can be mapped to
-[0, 1] where the weight becomes (1-t)^alpha t^beta.
+three-term recurrence, by LAPACK's tridiagonal eigensolver stevd called
+directly (the routine scipy's eigh_tridiagonal picks, with the same bits).
+Rules are cached and immutable.  The [0, 1] rules, where the weight becomes
+(1-t)^alpha t^beta, are built and cached on their own, with no [-1, 1] rule
+in between: the tuner needs three new lambda-keyed ones for every (mu,
+lambda) group it solves, so their build is kept to the recurrence, one
+stevd call and the affine map.
 """
 
 from __future__ import annotations
@@ -13,10 +18,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstevd
 from scipy.special import betaln
 
-from .errors import ParameterDomainError, StructuralError
+from .errors import NumericalFailure, ParameterDomainError, StructuralError
 
 __all__ = ["QuadratureRule", "gauss_jacobi", "gauss_jacobi_unit", "shift_to_unit"]
 
@@ -68,18 +73,40 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _gauss_jacobi_cached(alpha: float, beta: float, n: int) -> QuadratureRule:
+def _golub_welsch(alpha: float, beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point [-1, 1] rule: the eigenvalues of the
+    Jacobi matrix and the squared first components of its eigenvectors,
+    from LAPACK's divide-and-conquer tridiagonal eigensolver stevd."""
     diag, off = _recurrence(alpha, beta, n)
     if n == 1:
         nodes = diag
         first = np.ones(1)
     else:
-        nodes, vecs = eigh_tridiagonal(diag, off)
+        nodes, vecs, info = dstevd(diag, off)
+        if info != 0:
+            raise NumericalFailure(f"tridiagonal eigensolver stevd failed with info={info}")
         first = vecs[0]
     # zeroth moment 2^(a+b+1) B(a+1, b+1), via logs so large parameters do not overflow
     moment0 = math.exp((alpha + beta + 1.0) * math.log(2.0) + betaln(alpha + 1.0, beta + 1.0))
-    weights = moment0 * first * first
+    return nodes, moment0 * first * first
+
+
+def _check_parameters(alpha: float, beta: float, n: int) -> tuple[float, float, int]:
+    """Validated cache key: exponents rounded at 1e-14 resolution."""
+    if not (alpha > -1.0 and beta > -1.0):
+        raise ParameterDomainError(
+            f"Jacobi weight exponents must exceed -1, got alpha={alpha}, beta={beta}"
+        )
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ParameterDomainError("Jacobi weight exponents must be finite")
+    if n < 1:
+        raise ParameterDomainError(f"rule size must be at least 1, got {n}")
+    return round(float(alpha), _KEY_DECIMALS), round(float(beta), _KEY_DECIMALS), int(n)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _gauss_jacobi_cached(alpha: float, beta: float, n: int) -> QuadratureRule:
+    nodes, weights = _golub_welsch(alpha, beta, n)
     return QuadratureRule(alpha, beta, _freeze(nodes), _freeze(weights))
 
 
@@ -90,16 +117,7 @@ def gauss_jacobi(alpha: float, beta: float, n: int) -> QuadratureRule:
     at 1e-14 resolution) and returned with read-only arrays, so repeated calls
     share one object and concurrent use is safe.
     """
-    if not (alpha > -1.0 and beta > -1.0):
-        raise ParameterDomainError(
-            f"Jacobi weight exponents must exceed -1, got alpha={alpha}, beta={beta}"
-        )
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise ParameterDomainError("Jacobi weight exponents must be finite")
-    if n < 1:
-        raise ParameterDomainError(f"rule size must be at least 1, got {n}")
-    return _gauss_jacobi_cached(round(float(alpha), _KEY_DECIMALS),
-                                round(float(beta), _KEY_DECIMALS), int(n))
+    return _gauss_jacobi_cached(*_check_parameters(alpha, beta, n))
 
 
 def shift_to_unit(rule: QuadratureRule) -> QuadratureRule:
@@ -110,18 +128,25 @@ def shift_to_unit(rule: QuadratureRule) -> QuadratureRule:
     """
     if rule.interval != (-1.0, 1.0):
         raise ParameterDomainError(f"expected a rule on [-1, 1], got {rule.interval}")
-    nodes = _freeze(0.5 * (rule.nodes + 1.0))
-    weights = _freeze(rule.weights * math.exp(-(rule.alpha + rule.beta + 1.0) * math.log(2.0)))
-    return QuadratureRule(rule.alpha, rule.beta, nodes, weights, interval=(0.0, 1.0))
+    return _unit_rule(rule.alpha, rule.beta, rule.nodes, rule.weights)
+
+
+def _unit_rule(alpha: float, beta: float, nodes: np.ndarray, weights: np.ndarray) -> QuadratureRule:
+    """The [0, 1] rule from the nodes and weights of the [-1, 1] one."""
+    nodes = _freeze(0.5 * (nodes + 1.0))
+    weights = _freeze(weights * math.exp(-(alpha + beta + 1.0) * math.log(2.0)))
+    return QuadratureRule(alpha, beta, nodes, weights, interval=(0.0, 1.0))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _gauss_jacobi_unit_cached(alpha: float, beta: float, n: int) -> QuadratureRule:
-    return shift_to_unit(_gauss_jacobi_cached(alpha, beta, n))
+    return _unit_rule(alpha, beta, *_golub_welsch(alpha, beta, n))
 
 
 def gauss_jacobi_unit(alpha: float, beta: float, n: int) -> QuadratureRule:
-    """Cached n-point rule for the weight (1-t)^alpha t^beta on [0, 1]."""
-    gauss_jacobi(alpha, beta, n)  # validate and warm the [-1, 1] cache
-    return _gauss_jacobi_unit_cached(round(float(alpha), _KEY_DECIMALS),
-                                     round(float(beta), _KEY_DECIMALS), int(n))
+    """Cached n-point rule for the weight (1-t)^alpha t^beta on [0, 1].
+
+    Built straight from the Jacobi matrix, with a cache of its own: the
+    many lambda-keyed rules of training never pass through the [-1, 1] cache.
+    """
+    return _gauss_jacobi_unit_cached(*_check_parameters(alpha, beta, n))

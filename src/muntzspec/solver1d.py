@@ -15,12 +15,19 @@ kl = ku = 3(N+1) - 1 and solved by one banded partial-pivot LU (gbtrf/gbtrs)
 plus the LU's 1-norm condition estimate (gbcon); the dense n x n matrix is
 never formed.
 
-The matrix depends only on the configuration, so `solve_1d_group` solves
-several sources under one configuration with one factorization: the
-temporal operators, the band matrix, the LU and its condition estimate are
-built once, and every forcing is one more column of a single gbtrs call.
-Each source keeps its own source cross-check, forcing and residual check.
-`solve_1d` is its one-source call.
+The matrix depends only on the configuration, so a group of sources under
+one configuration shares one factorization: every forcing is one more
+column of a single gbtrs call.  `solve_1d_groups` solves several such
+groups, whose configurations differ only in (mu, lam), in one stacked pass:
+the temporal operators, the forcing time matrices, the forcing projections,
+the band matrices and the residuals are each built once over the stack
+with a leading group or source axis; only the banded LU, its condition
+estimate and its back-substitution run per group, since LAPACK has no
+batched band LU.  A failure of a group's shared system (temporal assembly,
+factorization) fails that group alone, and each source keeps its own
+cross-check, forcing and residual check.  `solve_1d_group` is the one-group
+call and `solve_1d` the one-source call of the same pass; every solution
+is bit for bit the one its group solved alone gives.
 
 SolverConfig carries the equation (validated by the same check as the
 manufactured problems) and the discretization (lam, M, N); the inner rule
@@ -30,6 +37,7 @@ report are shared with the 2D solver.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -47,6 +55,7 @@ from .assembly import (
     SourceTerm,
     _check_equation,
     _forcing_rules,
+    _forcing_values_1d,
     _project_forcing_1d,
     _validate_lambda,
     assemble_spatial,
@@ -69,6 +78,7 @@ __all__ = [
     "evaluate_grid",
     "solve_1d",
     "solve_1d_group",
+    "solve_1d_groups",
 ]
 
 COND_WARN = 1.0e12
@@ -169,24 +179,26 @@ def _check_residual(residual: float, cond: float, warned: bool) -> None:
 
 
 def _band_system(st, mt, mx, cx, kappa: float, rho: float) -> tuple[np.ndarray, int]:
-    """Mx (x) St + kappa I (x) Mt + rho Cx (x) Mt in LAPACK band storage.
+    """Mx (x) St + kappa I (x) Mt + rho Cx (x) Mt in LAPACK band storage, for
+    every group g of the stacks st[g] and mt[g]: ab[g] is its band.
 
     Entry (i, j) sits at row 2 kl + i - j of column j, with kl = ku = 3(N+1) - 1;
-    the top kl rows stay zero for the fill-in of the pivoted LU.  The array is
-    Fortran-ordered, so LAPACK takes it without a copy.
+    the top kl rows stay zero for the fill-in of the pivoted LU.  Each band
+    is Fortran-ordered, so LAPACK takes it without a copy.
     """
-    n1, k = st.shape[0], mx.shape[0]
+    groups, n1, k = st.shape[0], st.shape[1], mx.shape[0]
     kl = 3 * n1 - 1
     rows = 3 * kl + 1
-    ab = np.zeros((rows, k * n1), order="F")
-    # view[e, n, c, m] is entry (n, m) of block (c + e - 2, c): column m of
-    # block column c holds its five blocks stacked, starting at row 4 n1 - 2 - m.
-    # The last element it reaches is row 8 n1 - 2 of the last column, inside ab.
+    ab = np.zeros((groups, k * n1, rows)).transpose(0, 2, 1)
+    # view[g, e, n, c, m] is entry (n, m) of block (c + e - 2, c) of group g:
+    # column m of block column c holds its five blocks stacked, starting at
+    # row 4 n1 - 2 - m.  The last element it reaches is row 8 n1 - 2 of the
+    # last column, inside the group's band.
     item = ab.itemsize
     view = as_strided(
-        ab[4 * n1 - 2 :],
-        shape=(5, n1, k, n1),
-        strides=(n1 * item, item, n1 * rows * item, (rows - 1) * item),
+        ab[:, 4 * n1 - 2 :],
+        shape=(groups, 5, n1, k, n1),
+        strides=(k * n1 * rows * item, n1 * item, item, n1 * rows * item, (rows - 1) * item),
     )
     for e in range(5):
         d = 2 - e  # block (j, j + d)
@@ -194,10 +206,10 @@ def _band_system(st, mt, mx, cx, kappa: float, rho: float) -> tuple[np.ndarray, 
         if c.size == 0:
             continue
         j = c - d
-        scale_s = mx[j, c]
-        scale_m = rho * cx[j, c] + (kappa if d == 0 else 0.0)
-        blocks = scale_s[:, None, None] * st + scale_m[:, None, None] * mt
-        view[e, :, c[0] : c[-1] + 1, :] = blocks.transpose(1, 0, 2)
+        scale_s = mx[j, c][:, None, None]
+        scale_m = (rho * cx[j, c] + (kappa if d == 0 else 0.0))[:, None, None]
+        blocks = scale_s * st[:, None] + scale_m * mt[:, None]
+        view[:, e, :, c[0] : c[-1] + 1, :] = blocks.transpose(0, 2, 1, 3)
     return ab, kl
 
 
@@ -222,14 +234,28 @@ def _banded_solve(ab: np.ndarray, kl: int, rhs: np.ndarray) -> tuple[np.ndarray,
 
 
 def _residual_norm(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """||lhs - rhs|| / ||rhs|| in the Frobenius norm, or ||lhs - rhs|| when
+    rhs is zero.  A forcing whose norm overflows (entries above about 1e154,
+    whose squares overflow) gives NaN, which fails the residual check: the
+    ratio would otherwise read 0 and pass any solution."""
     scale = np.linalg.norm(rhs)
+    if scale == np.inf:
+        return math.nan
     diff = np.linalg.norm(lhs - rhs)
     return float(diff / scale) if scale > 0.0 else float(diff)
 
 
+def _fortran_stack(mats: list[np.ndarray]) -> np.ndarray:
+    """Matrices stacked along a new leading axis, each kept Fortran-ordered
+    as a solution's coefficients are: the GEMM rounds a product with a
+    C-ordered operand differently at some sizes (seen at N >= 16)."""
+    return np.array([m.T for m in mats]).transpose(0, 2, 1)
+
+
 def solve_1d(config: SolverConfig, source: SourceTerm) -> SpectralSolution:
     """Assemble and solve the 1D problem for the given source term."""
-    (outcome,) = _solve_group(config, [source])
+    (outcomes,) = _solve_stack([config], [[source]])
+    outcome = outcomes if isinstance(outcomes, Exception) else outcomes[0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -245,49 +271,125 @@ def solve_1d_group(
     of the shared system (temporal assembly, factorization) raises.  Each
     solution equals the one `solve_1d` returns for that source alone.
     """
-    return _solve_group(config, sources)
-
-
-def _solve_group(config: SolverConfig, sources: list[SourceTerm]) -> list:
-    """The solve behind both entry points; called directly from them, so
-    that the conditioning warning names their caller."""
-    if config.dimension != 1:
-        raise ParameterDomainError("solve_1d needs a dimension-1 configuration")
-    ops_x = assemble_spatial(config.m_space)
-    ops_t = assemble_temporal(config.n_time, config.mu, config.lam)
-    rules = _forcing_rules(ops_x.basis, ops_t.basis, config.t_end)
-    outcomes: list = []
-    for source in sources:
-        try:
-            _check_source(config, source)
-            outcomes.append(_project_forcing_1d(source, rules))
-        except (NumericalFailure, ParameterDomainError, StructuralError) as exc:
-            outcomes.append(exc)  # this source's own failure
-    assembled = [i for i, f in enumerate(outcomes) if not isinstance(f, Exception)]
-    if not assembled:
-        return outcomes
-    st = ops_t.stiffness * config.t_end ** (-config.mu)
-    mt = ops_t.mass
-    mx, cx = ops_x.mass, ops_x.convection
-    ab, kl = _band_system(st, mt, mx, cx, config.kappa, config.rho)
-    rhs = np.column_stack([outcomes[i].ravel(order="F") for i in assembled])
-    vecs, cond = _banded_solve(ab, kl, rhs)
-    warned = _check_conditioning(cond, "1D")
-    for col, i in enumerate(assembled):
-        forcing = outcomes[i]
-        coeffs = vecs[:, col].reshape(forcing.shape, order="F")
-        applied = st @ coeffs @ mx + config.kappa * mt @ coeffs + config.rho * mt @ coeffs @ cx.T
-        residual = _residual_norm(applied, forcing)
-        try:
-            _check_residual(residual, cond, warned)
-        except NumericalFailure as exc:
-            outcomes[i] = exc
-            continue
-        coeffs.flags.writeable = False
-        outcomes[i] = SpectralSolution(
-            config, ops_x.basis, ops_t.basis, coeffs, residual, cond, warned
-        )
+    (outcomes,) = _solve_stack([config], [sources])
+    if isinstance(outcomes, Exception):
+        raise outcomes
     return outcomes
+
+
+def solve_1d_groups(
+    configs: list[SolverConfig], sources: list[list[SourceTerm]]
+) -> list[list[SpectralSolution | Exception] | Exception]:
+    """Solve several groups, each a configuration and its sources, in one
+    stacked pass.  The configurations may differ only in mu and lam.
+
+    Returns one entry per group: the error its shared system raised
+    (temporal assembly, factorization), or one entry per source as in
+    `solve_1d_group`.  Every solution equals the one its group solved alone
+    gives.
+    """
+    return _solve_stack(configs, sources)
+
+
+def _solve_stack(configs: list[SolverConfig], sources: list[list[SourceTerm]]) -> list:
+    """The solve behind every entry point; called directly from them, so
+    that the conditioning warning names their caller.
+
+    Assembly runs once over the stack: the temporal operators and the
+    forcing time matrices with a leading group axis, the forcing
+    projections, the band matrices and the residuals batched over every
+    group or source.  Only the banded LU, its condition estimate and its
+    back-substitution run per group."""
+    if len(configs) != len(sources):
+        raise StructuralError("one list of sources per configuration")
+    if not configs:
+        return []
+    base = configs[0]
+    shared = (base.kappa, base.rho, base.m_space, base.n_time, base.t_end, base.dimension)
+    for config in configs:
+        if config.dimension != 1:
+            raise ParameterDomainError("solve_1d needs a dimension-1 configuration")
+        if (config.kappa, config.rho, config.m_space, config.n_time, config.t_end, 1) != shared:
+            raise ParameterDomainError("stacked configurations may differ only in mu and lam")
+    ops_x = assemble_spatial(base.m_space)
+    groups: list = assemble_temporal(
+        base.n_time, [c.mu for c in configs], [c.lam for c in configs]
+    )
+    live = [g for g, ops in enumerate(groups) if not isinstance(ops, Exception)]
+    if not live:
+        return groups
+    temporal = {g: groups[g] for g in live}
+    x, wx, phi, t_phys, tmat = _forcing_rules(
+        ops_x.basis, [temporal[g].basis for g in live], base.t_end
+    )
+
+    # every source's forcing values, group by group: a group's assembled
+    # sources are the forcings spans[g] = (lo, hi), and slot[i] is the place
+    # of forcing i among its group's outcomes
+    fvals, rows, slot, spans = [], [], [], {}
+    for k, g in enumerate(live):
+        outcomes = groups[g] = []
+        lo = len(fvals)
+        for source in sources[g]:
+            try:
+                _check_source(configs[g], source)
+                fvals.append(_forcing_values_1d(source, x, t_phys[k]))
+            except (NumericalFailure, ParameterDomainError, StructuralError) as exc:
+                outcomes.append(exc)  # this source's own failure
+                continue
+            rows.append(k)
+            slot.append(len(outcomes))
+            outcomes.append(None)
+        if len(fvals) > lo:
+            spans[g] = (lo, len(fvals))
+    if not fvals:
+        return groups
+    # np.stack keeps the sources' own memory order when they share one,
+    # and with it the GEMM's rounding
+    forcings = _project_forcing_1d(np.stack(fvals), tmat[rows], wx, phi)
+
+    # one band matrix per group with an assembled source, built in one pass;
+    # then per group the LU, its condition estimate and one gbtrs call
+    used = list(spans)
+    st = np.array([temporal[g].stiffness * base.t_end ** (-configs[g].mu) for g in used])
+    mt = np.array([temporal[g].mass for g in used])
+    mx, cx = ops_x.mass, ops_x.convection
+    ab, kl = _band_system(st, mt, mx, cx, base.kappa, base.rho)
+    solved = []  # (group, its band, its forcings, condition, warned, coefficients)
+    for k, g in enumerate(used):
+        lo, hi = spans[g]
+        rhs = np.column_stack([f.ravel(order="F") for f in forcings[lo:hi]])
+        try:
+            vecs, cond = _banded_solve(ab[k], kl, rhs)
+        except NumericalFailure as exc:
+            groups[g] = exc  # the shared system failed: so does every source
+            continue
+        warned = _check_conditioning(cond, "1D")
+        # column j of vecs as the Fortran-ordered matrix U_j, a view of vecs
+        coeffs = vecs.T.reshape(hi - lo, mx.shape[0], -1).transpose(0, 2, 1)
+        solved.append((g, k, lo, cond, warned, coeffs))
+    if not solved:
+        return groups
+
+    # the residuals of every solved source, batched
+    sol = _fortran_stack([c for *_, coeffs in solved for c in coeffs])
+    pick = [k for _, k, *_, coeffs in solved for _ in coeffs]
+    st_s, mt_s = st[pick], mt[pick]
+    applied = st_s @ sol @ mx + base.kappa * mt_s @ sol + base.rho * mt_s @ sol @ cx.T
+    applied = iter(applied)
+    for g, _, lo, cond, warned, coeffs in solved:
+        for i, c in enumerate(coeffs, start=lo):
+            residual = _residual_norm(next(applied), forcings[i])
+            try:
+                _check_residual(residual, cond, warned)
+            except NumericalFailure as exc:
+                groups[g][slot[i]] = exc
+                continue
+            c.flags.writeable = False
+            groups[g][slot[i]] = SpectralSolution(
+                configs[g], ops_x.basis, temporal[g].basis, c, residual, cond, warned
+            )
+    return groups
 
 
 def _unit_times(t, t_end: float) -> np.ndarray:

@@ -55,21 +55,38 @@ def test_solve_1d_records_lapack_spans():
     assert tracer.layer_metrics(1, 1.0)["solver1d.lapack_s"] > 0.0
 
 
-def test_batch_loss_assembles_once_per_group():
-    # lambda depends only on mu, so 3 orders x 4 exponents are 3 groups, each
-    # solved with one temporal assembly and one factorization
+def test_batch_loss_assembles_once_per_group(monkeypatch):
+    # lambda depends only on mu, so 3 orders x 4 exponents are 3 groups; a
+    # `_ratios` call assembles all of them in one stacked temporal assembly,
+    # and the gradient's call stacks the lambda +- h stencil too (9 groups)
     spans = load_spans()
-    mltune = muntzspec.mltune
+    mltune, quadrature = muntzspec.mltune, muntzspec.quadrature
     config = mltune.TrainingConfig(hidden_layers=1, hidden_width=3)
     net = mltune.init_network(config.layer_sizes, config.negative_slope, np.random.default_rng(0))
     mu = np.repeat([0.2, 0.5, 0.8], 4)
     nu = np.tile([0.3, 0.5, 0.7, 0.9], 3)
+    quadrature._gauss_jacobi_cached.cache_clear()
+    quadrature._gauss_jacobi_unit_cached.cache_clear()
+    builds = []
+    build = quadrature._golub_welsch
+
+    def counted(alpha, beta, n):
+        builds.append((alpha, beta, n))
+        return build(alpha, beta, n)
+
+    monkeypatch.setattr(quadrature, "_golub_welsch", counted)
     tracer = spans.Tracer(muntzspec)
     tracer.install()
     try:
         _, _, ratios = mltune.batch_loss(net, mu, nu, np.ones(12), mltune.SolverContext(), config)
+        temporal = [span for span in tracer.spans if span[:2] == ["assembly", "temporal"]]
+        assert len(temporal) == 1
+        mltune._loss_and_gradient(net, mu, nu, np.ones(12), mltune.SolverContext(), config)
+        temporal = [span for span in tracer.spans if span[:2] == ["assembly", "temporal"]]
+        assert len(temporal) == 2
     finally:
         tracer.uninstall()
     assert not np.isnan(ratios).any()
-    temporal = [span for span in tracer.spans if span[:2] == ["assembly", "temporal"]]
-    assert len(temporal) == 3
+    # every rule asked for is built once, however often it is asked for
+    assert len(builds) == len(set(builds))
+    assert len(builds) == len({key[1:] for key in tracer.rule_keys})

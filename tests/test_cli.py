@@ -469,7 +469,7 @@ class TestTrainCommand:
         def no_solve(*args, **kwargs):
             raise AssertionError("train solved before rejecting its configuration")
 
-        monkeypatch.setattr(mltune, "solve_1d_group", no_solve)
+        monkeypatch.setattr(mltune, "solve_1d_groups", no_solve)
         path = write_config(tmp_path, TRAIN_MINI + "    beta1 = nan\n")
         assert cli.main(["train", "--config", path, "--out", str(tmp_path)]) == 2
 
@@ -599,7 +599,7 @@ class TestDatasetCommand:
             header, rows = read_rows(tmp_path / "data" / name)
             assert header == "mu,nu,ref_error"
             assert len(rows) == 6
-        back = mltune.load_dataset(
-            str(tmp_path / "data" / "training_data.csv"), "training", 2, 3, seed=8
-        )
-        assert back.size == 6
+        back = np.loadtxt(tmp_path / "data" / "training_data.csv", delimiter=",", skiprows=1)
+        assert back.shape == (6, 3)
+        # the rows rebuild a valid dataset
+        mltune.Dataset("training", back[:, 0], back[:, 1], back[:, 2], 8, 2, 3)

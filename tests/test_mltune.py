@@ -314,11 +314,34 @@ class TestSampleError:
         ctx = mt.SolverContext()
         mu, nu = 0.35, 0.45
         alone = mt.sample_error(ctx, mu, nu, lam)
-        pair = mt._group_errors(ctx, mu, lam, [0.9, nu])
-        seven = mt._group_errors(ctx, mu, lam, [0.1, 2.0, 0.35, nu, 0.7, 0.05, 0.99])
+        pair = mt._sample_errors(ctx, mu, [0.9, nu], lam)
+        seven = mt._sample_errors(ctx, mu, [0.1, 2.0, 0.35, nu, 0.7, 0.05, 0.99], lam)
         assert pair[1] == alone
         assert seven[3] == alone
         assert seven[0] == mt.sample_error(ctx, mu, 0.1, lam)
+
+    @pytest.mark.filterwarnings("ignore:1D system condition estimate")
+    def test_stacked_groups_match_their_samples_alone(self):
+        # six (mu, lambda) groups in one stacked pass, lambda = 1 and the
+        # packaged ANN's range among them, each sample as solved alone
+        ctx = mt.SolverContext()
+        mus = np.repeat([0.3, 0.3, 0.65, 0.12, 0.85, 0.5], 2)
+        lams = np.repeat([1.0, 0.0801, 0.2225, 0.0962, 0.5, 1.0], 2)
+        nus = np.linspace(0.05, 0.95, 12)
+        stacked = mt._sample_errors(ctx, mus, nus, lams)
+        for m, n, lam, got in zip(mus, nus, lams, stacked):
+            assert got == mt.sample_error(ctx, m, n, lam)
+
+    def test_reference_lambda_ratio_is_exactly_one_in_a_stack(self):
+        # criterion 12's identity holds for lambda = 1 groups solved
+        # together with other groups
+        ctx = mt.SolverContext()
+        mus = np.array([0.2, 0.2, 0.5, 0.5, 0.8, 0.8])
+        nus = np.array([0.3, 0.6, 0.4, 0.9, 0.7, 0.1])
+        lams = np.array([1.0, 0.3, 1.0, 0.085, 1.0, 0.6])
+        refs = np.array([mt.sample_error(ctx, m, n, 1.0) for m, n in zip(mus, nus)])
+        ratios = mt._ratios(ctx, mus, nus, lams, refs)
+        assert np.all(ratios[lams == 1.0] == 1.0)
 
     def test_spatial_error_table_is_read_only(self):
         table = mt._spatial_error_table(20)
@@ -328,12 +351,12 @@ class TestSampleError:
 
     def test_error_grid_shapes_and_range(self):
         ctx = mt.SolverContext()
-        xs, ts = mt._error_grid(ctx, 0.25)
+        xs, (ts,) = mt._error_grid(ctx, [0.25])
         assert xs.shape == (19,) and ts.shape == (11,)
         assert np.all((xs > -1.0) & (xs < 1.0))
         assert np.all((ts > 0.0) & (ts < 1.0))
         # small lambda concentrates temporal nodes toward t = 0
-        _, ts_small = mt._error_grid(ctx, 0.05)
+        _, (ts_small,) = mt._error_grid(ctx, [0.05])
         assert np.median(ts_small) < np.median(ts)
 
 
@@ -364,14 +387,17 @@ class TestBatchLoss:
         mus = np.array([0.2, 0.6])
         nus = np.array([0.4, 0.7])
         refs = np.array([mt.sample_error(ctx, m, n, 1.0) for m, n in zip(mus, nus)])
-        real = mt._group_errors
+        real = mt.solve_1d_groups
 
-        def flaky(context, mu, lam, nus):
-            if mu == 0.2:
-                raise NumericalFailure("synthetic solver breakdown")
-            return real(context, mu, lam, nus)
+        def flaky(configs, sources):
+            # the mu = 0.2 group's solve breaks down
+            outcomes = real(configs, sources)
+            return [
+                NumericalFailure("synthetic solver breakdown") if c.mu == 0.2 else out
+                for c, out in zip(configs, outcomes)
+            ]
 
-        monkeypatch.setattr(mt, "_group_errors", flaky)
+        monkeypatch.setattr(mt, "solve_1d_groups", flaky)
         with caplog.at_level("WARNING", logger="muntzspec.mltune"):
             ratios = mt._ratios(ctx, mus, nus, 0.5, refs)
             loss = mt._mean_kept(ratios, "every sample failed")
@@ -413,13 +439,17 @@ class TestBatchLoss:
         original = solver1d.assemble_temporal
 
         def broken(n, mu, lam, **kwargs):
-            ops = original(n, mu, lam, **kwargs)
-            if mu != 0.2:
-                return ops
-            if failure == "conditioning":
-                raise ConditioningError("synthetic assembly breakdown")
-            zero = np.zeros_like(ops.mass)
-            return TemporalOperators(ops.basis, zero, zero)
+            # the stacked assembly's mu = 0.2 group fails or is singular
+            stack = original(n, mu, lam, **kwargs)
+            for g, ops in enumerate(stack):
+                if mu[g] != 0.2:
+                    continue
+                if failure == "conditioning":
+                    stack[g] = ConditioningError("synthetic assembly breakdown")
+                else:
+                    zero = np.zeros_like(ops.mass)
+                    stack[g] = TemporalOperators(ops.basis, zero, zero)
+            return stack
 
         monkeypatch.setattr(solver1d, "assemble_temporal", broken)
         with caplog.at_level("WARNING", logger="muntzspec.mltune"):
@@ -454,14 +484,17 @@ class TestEndToEndGradient:
         nus = np.array([0.45, 0.8])
         refs = np.array([mt.sample_error(ctx, m, n, 1.0) for m, n in zip(mus, nus)])
         bad_lam = mt._clamp_lambda(mt.forward_batch(net, mus), cfg)[0] + side * cfg.fd_step
-        real = mt._group_errors
+        real = mt.solve_1d_groups
 
-        def flaky(context, mu, lam, nus):
-            if mu == mus[0] and lam == bad_lam:
-                raise NumericalFailure("synthetic perturbed breakdown")
-            return real(context, mu, lam, nus)
+        def flaky(configs, sources):
+            outcomes = real(configs, sources)
+            return [
+                NumericalFailure("synthetic perturbed breakdown")
+                if c.mu == mus[0] and c.lam == bad_lam else out
+                for c, out in zip(configs, outcomes)
+            ]
 
-        monkeypatch.setattr(mt, "_group_errors", flaky)
+        monkeypatch.setattr(mt, "solve_1d_groups", flaky)
         loss, gw, gb = mt._loss_and_gradient(net, mus, nus, refs, ctx, cfg)
         alone, gw1, gb1 = mt._loss_and_gradient(net, mus[1:], nus[1:], refs[1:], ctx, cfg)
         assert loss == alone
@@ -547,16 +580,10 @@ class TestDatasets:
         mt.save_dataset(ds, str(path))
         header = path.read_text().splitlines()[0]
         assert header == "mu,nu,ref_error"
-        back = mt.load_dataset(str(path), "training", 3, 2, seed=9)
-        assert_allclose(back.mu, ds.mu, rtol=0.0, atol=0.0)
-        assert_allclose(back.nu, ds.nu, rtol=0.0, atol=0.0)
-        assert_allclose(back.ref_error, ds.ref_error, rtol=0.0, atol=0.0)
-
-    def test_malformed_csv_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("mu,nu\n0.5,0.5\n")
-        with pytest.raises(StructuralError):
-            mt.load_dataset(str(path), "training", 1, 1)
+        back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert back.shape == (6, 3)
+        for col, arr in enumerate((ds.mu, ds.nu, ds.ref_error)):
+            assert_allclose(back[:, col], arr, rtol=0.0, atol=0.0)
 
     def test_kind_and_counts_validated(self):
         with pytest.raises(ParameterDomainError):
@@ -743,17 +770,16 @@ class TestSpline:
     def test_knot_descent_is_scalar_adam(self, monkeypatch, target, hi, iterations):
         # the shared update on a one-element array against Adam written out
         # in scalars, including the clip and the early stop, bit for bit
-        def quadratic(context, mu, nus, refs, lam):
-            return 1.0 + (lam - target) ** 2
+        def quadratic(context, mu, nus, refs, lams):
+            return [1.0 + (lam - target) ** 2 for lam in lams]
 
-        monkeypatch.setattr(mt, "_profile_loss", quadratic)
+        monkeypatch.setattr(mt, "_profile_losses", quadratic)
         cfg = mt.TrainingConfig()
         lo, h = 0.011, cfg.fd_step
         lam, m, v = 0.5, 0.0, 0.0
         best, small = math.inf, 0
         for it in range(1, iterations + 1):
-            plus = quadratic(None, 0.5, None, None, min(lam + h, 1.0))
-            minus = quadratic(None, 0.5, None, None, lam - h)
+            plus, minus = quadratic(None, 0.5, None, None, [min(lam + h, 1.0), lam - h])
             grad = (plus - minus) / (2.0 * h)
             m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
             v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
@@ -774,11 +800,11 @@ class TestSpline:
     def test_early_stop_on_flat_profile(self, monkeypatch):
         calls = []
 
-        def flat(context, mu, nus, refs, lam):
-            calls.append(lam)
-            return 1.0
+        def flat(context, mu, nus, refs, lams):
+            calls.extend(lams)
+            return [1.0] * len(lams)
 
-        monkeypatch.setattr(mt, "_profile_loss", flat)
+        monkeypatch.setattr(mt, "_profile_losses", flat)
         cfg = mt.TrainingConfig()
         lam, flag = mt._scalar_adam_lambda(
             mt.SolverContext(), cfg, 0.5, np.array([0.5]), np.array([1.0]), 0.011, 0.999, 400

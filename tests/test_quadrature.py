@@ -4,11 +4,14 @@ Oracle: int_0^1 (1-t)^a t^(b+k) dt = B(a+1, b+k+1), evaluated with
 scipy.special.beta, which never touches the Golub-Welsch path under test.
 """
 
+import math
+
 import numpy as np
 import pytest
-from scipy.special import beta as beta_fn
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import beta as beta_fn, betaln
 
-from muntzspec import ParameterDomainError, gauss_jacobi, gauss_jacobi_unit, shift_to_unit
+from muntzspec import ParameterDomainError, gauss_jacobi, gauss_jacobi_unit, quadrature, shift_to_unit
 
 
 def unit_moments_oracle(alpha, beta, kmax):
@@ -85,6 +88,30 @@ class TestShiftToUnit:
         unit = gauss_jacobi_unit(0.0, 0.0, 3)
         with pytest.raises(ParameterDomainError):
             shift_to_unit(unit)
+
+
+class TestDirectEigensolver:
+    @pytest.mark.parametrize("n", [1, 11, 41])
+    @pytest.mark.parametrize(("alpha", "beta"), [(0.0, 1.0 + 1.0 / 0.085), (-0.4, 0.0), (0.0, 7.3)])
+    def test_rule_matches_the_eigh_tridiagonal_build(self, alpha, beta, n):
+        # the rule calls LAPACK stevd itself; scipy's eigh_tridiagonal picks
+        # the same routine, so the bits agree with a build through it (from
+        # the cache key, the exponents rounded at 1e-14)
+        alpha, beta = round(alpha, 14), round(beta, 14)
+        diag, off = quadrature._recurrence(alpha, beta, n)
+        if n == 1:
+            nodes, first = diag, np.ones(1)
+        else:
+            nodes, vecs = eigh_tridiagonal(diag, off)
+            first = vecs[0]
+        moment0 = math.exp((alpha + beta + 1.0) * math.log(2.0) + betaln(alpha + 1.0, beta + 1.0))
+        weights = moment0 * first * first
+        rule = gauss_jacobi_unit(alpha, beta, n)
+        assert np.array_equal(rule.nodes, 0.5 * (nodes + 1.0))
+        assert np.array_equal(
+            rule.weights, weights * math.exp(-(alpha + beta + 1.0) * math.log(2.0))
+        )
+        assert np.array_equal(gauss_jacobi(alpha, beta, n).nodes, nodes)
 
 
 class TestCache:

@@ -34,6 +34,7 @@ from muntzspec.solver1d import (
     evaluate_grid,
     solve_1d,
     solve_1d_group,
+    solve_1d_groups,
 )
 
 MODELS_DIR = pathlib.Path(muntzspec.__file__).resolve().parent / "models"
@@ -197,8 +198,8 @@ class TestBandedAgainstDenseOracle:
         cfg = SolverConfig(mu=0.4, lam=0.6, kappa=kappa, rho=rho, m_space=m, n_time=n, t_end=1.7)
         system, ops_x, ops_t = dense_operators(cfg)
         st = ops_t.stiffness * cfg.t_end ** (-cfg.mu)
-        ab, kl = solver1d._band_system(
-            st, ops_t.mass, ops_x.mass, ops_x.convection, cfg.kappa, cfg.rho
+        (ab,), kl = solver1d._band_system(
+            st[None], ops_t.mass[None], ops_x.mass, ops_x.convection, cfg.kappa, cfg.rho
         )
         assert kl == 3 * (n + 1) - 1
         assert ab.shape == (3 * kl + 1, system.shape[0])
@@ -264,14 +265,13 @@ class TestBandedAgainstDenseOracle:
 
 
 def zero_temporal_operators(monkeypatch):
-    """Make solver1d assemble all-zero temporal operators, so that the banded
-    LU meets a zero pivot."""
+    """Make solver1d's stacked assembly give every group all-zero temporal
+    operators, so that the banded LU meets a zero pivot."""
     original = solver1d.assemble_temporal
 
     def zero_operators(n, mu, lam, **kwargs):
-        ops = original(n, mu, lam, **kwargs)
-        zero = np.zeros_like(ops.mass)
-        return TemporalOperators(ops.basis, zero, zero)
+        zero = np.zeros((n + 1, n + 1))
+        return [TemporalOperators(ops.basis, zero, zero) for ops in original(n, mu, lam, **kwargs)]
 
     monkeypatch.setattr(solver1d, "assemble_temporal", zero_operators)
 
@@ -358,6 +358,108 @@ class TestGroupedSolve:
         for arr in (ops.stiffness, ops.mass, ops.convection, phi):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
+
+
+# (mu, lambda) groups of one stacked solve: lambda = 1, the spline's and the
+# packaged ANN's range, and two orders sharing a lambda
+STACK = [(0.3, 1.0), (0.3, 0.0801), (0.65, 0.2225), (0.12, 0.0962), (0.85, 0.5), (0.5, 0.5)]
+
+
+def stack_sources(mu):
+    return [ManufacturedProblem(mu=mu, nu=nu) for nu in (0.2, 1.0 - mu, 1.7)]
+
+
+class TestStackedSolve:
+    @pytest.mark.filterwarnings("ignore:1D system condition estimate")
+    def test_each_group_matches_its_solve_alone(self):
+        configs = [SolverConfig(mu=mu, lam=lam, m_space=20, n_time=10) for mu, lam in STACK]
+        sources = [stack_sources(mu) for mu, _ in STACK]
+        stacked = solve_1d_groups(configs, sources)
+        for cfg, group, outcome in zip(configs, sources, stacked):
+            alone = solve_1d_group(cfg, group)
+            for got, want in zip(outcome, alone):
+                assert np.array_equal(got.coeffs, want.coeffs)
+                assert got.residual == want.residual
+                assert got.cond_warning == want.cond_warning
+                # gbcon's estimate is not bit-reproducible between identical calls
+                assert got.cond_estimate == pytest.approx(want.cond_estimate, rel=1e-12)
+                assert got.temporal == want.temporal and got.config == cfg
+
+    def test_failing_group_leaves_the_others_alone(self, monkeypatch):
+        configs = [SolverConfig(mu=mu, lam=lam, m_space=12, n_time=6) for mu, lam in STACK]
+        sources = [stack_sources(mu) for mu, _ in STACK]
+        alone = [solve_1d_group(c, s) for c, s in zip(configs, sources)]
+        # a group whose every source is non-finite: its own failures only
+        non_finite = lambda x, t: np.nan * x * t  # noqa: E731
+        bad = list(sources)
+        bad[2] = [non_finite, non_finite]
+        stacked = solve_1d_groups(configs, bad)
+        assert all(isinstance(out, NumericalFailure) for out in stacked[2])
+        # a zero pivot in the third factorization fails that group alone
+        real = solver1d.get_lapack_funcs
+        calls = []
+
+        def lookup(names, arrays):
+            gbtrf, gbtrs, gbcon = real(names, arrays)
+            calls.append(None)
+
+            def singular(ab, kl, ku, **kwargs):
+                lu, piv, info = gbtrf(ab, kl, ku, **kwargs)
+                return lu, piv, (3 if len(calls) == 3 else info)
+
+            return singular, gbtrs, gbcon
+
+        monkeypatch.setattr(solver1d, "get_lapack_funcs", lookup)
+        pivoted = solve_1d_groups(configs, sources)
+        assert isinstance(pivoted[2], NumericalFailure) and "zero pivot" in str(pivoted[2])
+        for g, want in enumerate(alone):
+            if g == 2:
+                continue
+            for outcomes in (stacked[g], pivoted[g]):
+                for got, ref in zip(outcomes, want):
+                    assert np.array_equal(got.coeffs, ref.coeffs)
+                    assert got.residual == ref.residual
+
+    def test_configurations_may_differ_only_in_mu_and_lambda(self):
+        sources = [[ManufacturedProblem(mu=0.5, nu=1.5)]] * 2
+        base = SolverConfig(mu=0.5, lam=0.5, m_space=8, n_time=4)
+        for other in (dataclasses.replace(base, n_time=5), dataclasses.replace(base, kappa=2.0)):
+            with pytest.raises(ParameterDomainError):
+                solve_1d_groups([base, other], sources)
+        assert solve_1d_groups([], []) == []
+
+
+class TestResidualScale:
+    def perturbed(self, solution):
+        coeffs = solution.coeffs.copy()
+        coeffs[0, 0] += 1e-6 * np.abs(coeffs).max()
+        return coeffs
+
+    @pytest.mark.parametrize("kappa", [1e100, 1e150])
+    def test_large_forcing_keeps_a_meaningful_residual(self, kappa):
+        prob = ManufacturedProblem(mu=0.5, nu=1.5, kappa=kappa)
+        cfg = SolverConfig(mu=0.5, lam=0.5, kappa=kappa, m_space=8, n_time=4)
+        sol = solve_1d(cfg, prob)
+        assert 0.0 < sol.residual <= solver1d.RESIDUAL_TOL
+        ops_t = assemble_temporal(cfg.n_time, cfg.mu, cfg.lam)
+        ops_x = assemble_spatial(cfg.m_space)
+        forcing = assemble_forcing_1d(prob, ops_x.basis, ops_t.basis)
+        coeffs = self.perturbed(sol)
+        applied = (
+            ops_t.stiffness @ coeffs @ ops_x.mass
+            + kappa * ops_t.mass @ coeffs
+            + cfg.rho * ops_t.mass @ coeffs @ ops_x.convection.T
+        )
+        assert solver1d._residual_norm(applied, forcing) > solver1d.RESIDUAL_TOL
+
+    @pytest.mark.parametrize("kappa", [1e160, 1e200])
+    def test_overflowing_forcing_norm_fails_instead_of_passing(self, kappa):
+        # the squares of a forcing above ~1e154 overflow its norm; the ratio
+        # once read 0.0 at 1e160, which passed any solution
+        prob = ManufacturedProblem(mu=0.5, nu=1.5, kappa=kappa)
+        cfg = SolverConfig(mu=0.5, lam=0.5, kappa=kappa, m_space=8, n_time=4)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalFailure):
+            solve_1d(cfg, prob)
 
 
 class TestConfigValidation:

@@ -236,6 +236,31 @@ class TestSolve2D:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalFailure):
             solve_2d(cfg, prob)
 
+    @pytest.mark.parametrize("kappa", [1e100, 1e150])
+    def test_large_forcing_keeps_a_meaningful_residual(self, kappa):
+        prob = ManufacturedProblem(mu=0.5, nu=1.5, kappa=kappa, rho=0.0, dim=2)
+        cfg = config_2d(mu=0.5, lam=0.5, kappa=kappa, m_space=8, n_time=4)
+        sol = solve_2d(cfg, prob)
+        assert 0.0 < sol.residual <= 1e-10
+        # the solve's own residual, of a perturbed solution
+        ops_t = assemble_temporal(cfg.n_time, cfg.mu, cfg.lam)
+        fb = sol.fourier
+        forcing = solver2d._rotate(fb, assemble_forcing_2d(prob, fb.spatial, ops_t.basis))
+        coeffs = sol.coeffs.copy()
+        coeffs[0, 0] += 1e-6 * np.abs(coeffs).max()
+        w = fb.weights
+        applied = (ops_t.stiffness @ coeffs) * np.multiply.outer(w, w).ravel() + kappa * (
+            ops_t.mass @ coeffs
+        ) * np.add.outer(w, w).ravel()
+        assert _residual_norm(applied, forcing) > 1e-10
+
+    @pytest.mark.parametrize("kappa", [1e160, 1e200])
+    def test_overflowing_forcing_norm_fails_instead_of_passing(self, kappa):
+        prob = ManufacturedProblem(mu=0.5, nu=1.5, kappa=kappa, rho=0.0, dim=2)
+        cfg = config_2d(mu=0.5, lam=0.5, kappa=kappa, m_space=8, n_time=4)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalFailure):
+            solve_2d(cfg, prob)
+
     # the orders and sizes at which the packaged ANN's λ once broke the 2D
     # fast path (a complex QZ of the nearly singular temporal pencil left an
     # imaginary residue above 1e-6)
