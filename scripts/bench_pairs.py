@@ -14,9 +14,15 @@ Prints one JSON document: for every end-to-end metric that BENCHMARK.json
 declares, the medians and quartiles of both sides, every run's value, the
 change's median relative to the parent's, and in how many pairs the change
 was better (in the metric's own direction) or equal; plus the failed share
-of operations and whether every run passed its checks.  The script itself
-writes nothing; the runs leave in each checkout only what bench/run.py
-leaves there.
+of operations and whether every run passed its checks.  Each metric also
+carries the two acceptance rules:
+  within_bound   the change's median is worse than the parent's by no more
+                 than the metric's `bound` (a fraction of the parent's)
+  gain_resolved  the change is better in at least 9 of 10 pairs (a tie is
+                 no win) and its median is better than the parent's by more
+                 than the parent's interquartile range
+The script itself writes nothing; the runs leave in each checkout only what
+bench/run.py leaves there.
 """
 
 from __future__ import annotations
@@ -61,8 +67,15 @@ def summarize(results: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
         for side, values in sides.items():
             q1, median, q3 = quartiles(values)
             entry[side] = {"median": median, "q1": q1, "q3": q3, "runs": values}
-        parent = entry["parent"]["median"]
-        entry["change_over_parent"] = entry["change"]["median"] / parent if parent else None
+        parent, change = entry["parent"]["median"], entry["change"]["median"]
+        entry["change_over_parent"] = change / parent if parent else None
+        # how much better the change's median is, in the metric's direction
+        gain = parent - change if lower else change - parent
+        entry["within_bound"] = -gain <= spec["bound"] * abs(parent)
+        entry["gain_resolved"] = (
+            wins >= 0.9 * len(sides["parent"])
+            and gain > entry["parent"]["q3"] - entry["parent"]["q1"]
+        )
         summary["metrics"][name] = entry
     for side, runs in results.items():
         attempted = sum(r["attempted"] for r in runs)

@@ -48,7 +48,7 @@ from .mltune import (
     spline_predict,
     train,
 )
-from .quadrature import QuadratureRule, gauss_jacobi, gauss_jacobi_unit, shift_to_unit
+from .quadrature import QuadratureRule, gauss_jacobi, gauss_jacobi_unit
 from .solver1d import (
     ErrorReport,
     SolverConfig,

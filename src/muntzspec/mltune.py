@@ -6,21 +6,22 @@ The loss of a sample (mu, nu) is the nodal solution error of the solve at
 the predicted lambda divided by the error of the classical lambda = 1 solve
 for the same sample; the denominator is lambda-independent and cached with
 the dataset.  One loop, `_ratios`, turns solves into these ratios for the
-batch loss, its gradient and the spline's profile loss.  Since lambda
-depends only on mu, `_sample_errors` groups the samples by (mu, lambda):
-each group is one factorization with every nu one more right-hand side, and
-all groups of the call are solved in one stacked pass
-(`solver1d.solve_1d_groups`) and their error tables built together.  A
-training step is one such pass: the gradient with respect to lambda is a
-central finite difference, and the batch's lambda and both stencil points
-lambda +- h go to a single `_ratios` call, as do the spline's two profile
-probes and a dataset's lambda = 1 reference solves.  A sample's error does
-not depend on what it is stacked with.  A failed solve gives NaN, is logged
-as excluded and leaves its sample out of the mean; a failure of a group's
-shared system does so for every sample of that group alone.  The
-finite-difference slope is chained into analytic backpropagation through
-the network.  One bias-corrected Adam update (`adam_step`) descends both the
-network's weights and the spline baseline's per-knot lambda.
+batch loss, its gradient and the spline's profile loss.  `_sample_errors`
+gives every sample its own configuration and makes one
+`solver1d.solve_1d_batch` call; since lambda depends only on mu, samples
+of equal (mu, lambda) share one factorization there, every nu one more
+right-hand side, and the error tables of all solved samples are built
+together.  A training step is one such call: the gradient with respect to
+lambda is a central finite difference, and the batch's lambda and both
+stencil points lambda +- h go to a single `_ratios` call, as do the
+spline's two profile probes and a dataset's lambda = 1 reference solves.
+A sample's error does not depend on what it is solved with.  A failed
+solve gives NaN, is logged as excluded and leaves its sample out of the
+mean; a failure of a shared system does so for every sample of that
+(mu, lambda) alone.  The finite-difference slope is chained into analytic
+backpropagation through the network.  One bias-corrected Adam update
+(`adam_step`) descends both the network's weights and the spline
+baseline's per-knot lambda.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import (
     TrainingFailure,
 )
 from .quadrature import gauss_jacobi, gauss_jacobi_unit
-from .solver1d import SolverConfig, _fortran_stack, solve_1d_groups
+from .solver1d import SolverConfig, _fortran_stack, solve_1d_batch
 # solve_1d and evaluate_grid are unused here; they stay importable as
 # mltune.solve_1d/evaluate_grid because the benchmark tracer wraps them by name.
 from .solver1d import evaluate_grid, solve_1d  # noqa: F401
@@ -336,60 +337,48 @@ def _spatial_error_table(m_space: int) -> np.ndarray:
 
 def _sample_errors(context: SolverContext, mu, nu, lams) -> list:
     """Frobenius norms of the nodal solution errors of the samples
-    (mu_i, nu_i) solved at lams_i, in one stacked pass.
+    (mu_i, nu_i) solved at lams_i, in one `solve_1d_batch` call.
 
-    The arguments broadcast to one flat sample axis.  Samples of equal
-    (mu, lambda) form a group that shares one factorization, every nu one
-    more right-hand side; all groups are solved by one `solve_1d_groups`
-    call and their error tables built together.  Returns one entry per
-    sample: its error, or the error its solve raised, its own or its
-    group's shared system's.
+    The arguments broadcast to one flat sample axis.  The error tables of
+    every solved sample are built together, one row per distinct lambda.
+    Returns one entry per sample: its error, or the error its
+    configuration or its solve raised.
     """
     mu, nu, lams = (a.ravel() for a in np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (mu, nu, lams))
     ))
-    members: dict[tuple[float, float], list[int]] = {}
-    for i in range(mu.size):
-        members.setdefault((mu[i], lams[i]), []).append(i)
     out: list = [None] * mu.size
-    configs, problems, groups = [], [], []
-    for (m, lam), idx in members.items():
+    configs, problems, posed = [], [], []
+    for i in range(mu.size):
         try:
-            configs.append(context.solver_config(m, lam))
+            config = context.solver_config(mu[i], lams[i])
         except ParameterDomainError as exc:
-            for i in idx:
-                out[i] = exc
+            out[i] = exc
             continue
-        groups.append(idx)
-        problems.append([
-            ManufacturedProblem(mu=m, nu=nu[i], kappa=context.kappa, rho=context.rho,
-                                t_end=context.t_end)
-            for i in idx
-        ])
-    solved = []  # (sample, group row, solution)
-    for g, (idx, outcomes) in enumerate(zip(groups, solve_1d_groups(configs, problems))):
-        if isinstance(outcomes, Exception):
-            outcomes = [outcomes] * len(idx)
-        for i, outcome in zip(idx, outcomes):
-            if isinstance(outcome, Exception):
-                out[i] = outcome
-            else:
-                solved.append((i, g, outcome))
+        configs.append(config)
+        problems.append(ManufacturedProblem(mu=mu[i], nu=nu[i], kappa=context.kappa,
+                                            rho=context.rho, t_end=context.t_end))
+        posed.append(i)
+    solved = []  # (sample, solution)
+    for i, outcome in zip(posed, solve_1d_batch(configs, problems)):
+        if isinstance(outcome, Exception):
+            out[i] = outcome
+        else:
+            solved.append((i, outcome))
     if not solved:
         return out
-    # evaluate_grid's tables on the error grid, built once for every group
-    # with a solved sample
-    rows = sorted({g for _, g, _ in solved})
-    bases = {g: s.temporal for _, g, s in solved}
-    xs, ts = _error_grid(context, [bases[g].lam for g in rows])
-    row = {g: r for r, g in enumerate(rows)}
-    at = [row[g] for _, g, _ in solved]
+    # evaluate_grid's tables on the error grid, built once for every
+    # distinct lambda with a solved sample
+    bases = {s.temporal.lam: s.temporal for _, s in solved}
+    row = {lam: r for r, lam in enumerate(bases)}
+    at = [row[s.temporal.lam] for _, s in solved]
+    xs, ts = _error_grid(context, list(bases))
     # (member, sample, time node); each sample's transposed table is a view
     # of the same orientation as evaluate_grid's
-    temporal = _muntz_table_stack([bases[g] for g in rows], ts / context.t_end)[:, at]
-    coeffs = _fortran_stack([s.coeffs for _, _, s in solved])
+    temporal = _muntz_table_stack(list(bases.values()), ts / context.t_end)[:, at]
+    coeffs = _fortran_stack([s.coeffs for _, s in solved])
     approx = temporal.transpose(1, 2, 0) @ coeffs @ _spatial_error_table(context.m_space)
-    samples = np.array([i for i, _, _ in solved])
+    samples = np.array([i for i, _ in solved])
     exact = _power_rows(ts[at][:, :, None], nu[samples]) * np.sin(np.pi * xs)
     for i, diff in zip(samples, approx - exact):
         out[i] = float(np.linalg.norm(diff))
@@ -679,7 +668,9 @@ def load_model(path: str) -> tuple[Network, dict]:
             doc = json.load(handle)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"model file {path} is not valid: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema_version") != MODEL_SCHEMA_VERSION:
+    if not isinstance(doc, dict):
+        raise StructuralError(f"model file {path} does not hold a JSON object")
+    if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise StructuralError(
             f"model file {path} has unsupported schema {doc.get('schema_version')!r}"
         )
@@ -834,6 +825,8 @@ def load_spline(path: str) -> SplineModel:
             doc = json.load(handle)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"spline file {path} is not valid: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise StructuralError(f"spline file {path} does not hold a JSON object")
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION or doc.get("boundary_condition") != "natural":
         raise StructuralError(f"spline file {path} has an unsupported layout")
     try:

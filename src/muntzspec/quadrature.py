@@ -23,7 +23,7 @@ from scipy.special import betaln
 
 from .errors import NumericalFailure, ParameterDomainError, StructuralError
 
-__all__ = ["QuadratureRule", "gauss_jacobi", "gauss_jacobi_unit", "shift_to_unit"]
+__all__ = ["QuadratureRule", "gauss_jacobi", "gauss_jacobi_unit"]
 
 # keys are rounded so that float noise below this resolution hits the same entry
 _KEY_DECIMALS = 14
@@ -43,10 +43,6 @@ class QuadratureRule:
     def __post_init__(self) -> None:
         if self.nodes.ndim != 1 or self.nodes.shape != self.weights.shape:
             raise StructuralError("nodes and weights must be matching 1-d arrays")
-
-    @property
-    def npoints(self) -> int:
-        return self.nodes.size
 
 
 def _recurrence(alpha: float, beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -120,27 +116,14 @@ def gauss_jacobi(alpha: float, beta: float, n: int) -> QuadratureRule:
     return _gauss_jacobi_cached(*_check_parameters(alpha, beta, n))
 
 
-def shift_to_unit(rule: QuadratureRule) -> QuadratureRule:
-    """Map a [-1, 1] rule to [0, 1], where the weight reads (1-t)^alpha t^beta.
-
-    Nodes map affinely, t = (x + 1)/2; weights are divided by 2^(alpha+beta+1)
-    so that sum w_i f(t_i) approximates the [0, 1] weighted integral of f.
-    """
-    if rule.interval != (-1.0, 1.0):
-        raise ParameterDomainError(f"expected a rule on [-1, 1], got {rule.interval}")
-    return _unit_rule(rule.alpha, rule.beta, rule.nodes, rule.weights)
-
-
-def _unit_rule(alpha: float, beta: float, nodes: np.ndarray, weights: np.ndarray) -> QuadratureRule:
-    """The [0, 1] rule from the nodes and weights of the [-1, 1] one."""
+@lru_cache(maxsize=_CACHE_SIZE)
+def _gauss_jacobi_unit_cached(alpha: float, beta: float, n: int) -> QuadratureRule:
+    """The [-1, 1] rule mapped to [0, 1]: nodes t = (x + 1)/2, weights divided
+    by 2^(alpha+beta+1)."""
+    nodes, weights = _golub_welsch(alpha, beta, n)
     nodes = _freeze(0.5 * (nodes + 1.0))
     weights = _freeze(weights * math.exp(-(alpha + beta + 1.0) * math.log(2.0)))
     return QuadratureRule(alpha, beta, nodes, weights, interval=(0.0, 1.0))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _gauss_jacobi_unit_cached(alpha: float, beta: float, n: int) -> QuadratureRule:
-    return _unit_rule(alpha, beta, *_golub_welsch(alpha, beta, n))
 
 
 def gauss_jacobi_unit(alpha: float, beta: float, n: int) -> QuadratureRule:

@@ -15,19 +15,20 @@ kl = ku = 3(N+1) - 1 and solved by one banded partial-pivot LU (gbtrf/gbtrs)
 plus the LU's 1-norm condition estimate (gbcon); the dense n x n matrix is
 never formed.
 
-The matrix depends only on the configuration, so a group of sources under
-one configuration shares one factorization: every forcing is one more
-column of a single gbtrs call.  `solve_1d_groups` solves several such
-groups, whose configurations differ only in (mu, lam), in one stacked pass:
-the temporal operators, the forcing time matrices, the forcing projections,
-the band matrices and the residuals are each built once over the stack
-with a leading group or source axis; only the banded LU, its condition
-estimate and its back-substitution run per group, since LAPACK has no
-batched band LU.  A failure of a group's shared system (temporal assembly,
-factorization) fails that group alone, and each source keeps its own
-cross-check, forcing and residual check.  `solve_1d_group` is the one-group
-call and `solve_1d` the one-source call of the same pass; every solution
-is bit for bit the one its group solved alone gives.
+The matrix depends only on the configuration, so sources under equal
+configurations share one factorization: every forcing is one more column
+of a single gbtrs call.  `solve_1d_batch` takes one configuration per
+source (the configurations may differ only in mu and lam), groups the
+sources of equal configurations itself and solves every group in one
+stacked pass: the temporal operators, the forcing time matrices, the
+forcing projections, the band matrices and the residuals are each built
+once over the stack with a leading group or source axis; only the banded
+LU, its condition estimate and its back-substitution run per group, since
+LAPACK has no batched band LU.  A failure of a group's shared system
+(temporal assembly, factorization) fails every source of that group, and
+each source keeps its own cross-check, forcing and residual check.
+`solve_1d` is the one-source call of the same pass; every solution is bit
+for bit the one its source solved alone gives.
 
 SolverConfig carries the equation (validated by the same check as the
 manufactured problems) and the discretization (lam, M, N); the inner rule
@@ -77,8 +78,7 @@ __all__ = [
     "error_norms",
     "evaluate_grid",
     "solve_1d",
-    "solve_1d_group",
-    "solve_1d_groups",
+    "solve_1d_batch",
 ]
 
 COND_WARN = 1.0e12
@@ -254,122 +254,112 @@ def _fortran_stack(mats: list[np.ndarray]) -> np.ndarray:
 
 def solve_1d(config: SolverConfig, source: SourceTerm) -> SpectralSolution:
     """Assemble and solve the 1D problem for the given source term."""
-    (outcomes,) = _solve_stack([config], [[source]])
-    outcome = outcomes if isinstance(outcomes, Exception) else outcomes[0]
+    (outcome,) = _solve_stack([config], [source])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
-def solve_1d_group(
-    config: SolverConfig, sources: list[SourceTerm]
+def solve_1d_batch(
+    configs: list[SolverConfig], sources: list[SourceTerm]
 ) -> list[SpectralSolution | Exception]:
-    """Solve the 1D problem for every source with one factorization.
+    """Solve the 1D problem for each source under its configuration, in one
+    stacked pass.  The configurations may differ only in mu and lam; the
+    sources of equal configurations share one factorization.
 
-    Returns one entry per source: its solution, or the error that source
-    alone raised (source cross-check, forcing, residual check).  A failure
-    of the shared system (temporal assembly, factorization) raises.  Each
+    Returns one entry per source: its solution, or its error.  A failure of
+    a configuration's shared system (temporal assembly, factorization) is
+    the entry of every source under that configuration; a source's own
+    failure (cross-check, forcing, residual check) is its alone.  Every
     solution equals the one `solve_1d` returns for that source alone.
-    """
-    (outcomes,) = _solve_stack([config], [sources])
-    if isinstance(outcomes, Exception):
-        raise outcomes
-    return outcomes
-
-
-def solve_1d_groups(
-    configs: list[SolverConfig], sources: list[list[SourceTerm]]
-) -> list[list[SpectralSolution | Exception] | Exception]:
-    """Solve several groups, each a configuration and its sources, in one
-    stacked pass.  The configurations may differ only in mu and lam.
-
-    Returns one entry per group: the error its shared system raised
-    (temporal assembly, factorization), or one entry per source as in
-    `solve_1d_group`.  Every solution equals the one its group solved alone
-    gives.
     """
     return _solve_stack(configs, sources)
 
 
-def _solve_stack(configs: list[SolverConfig], sources: list[list[SourceTerm]]) -> list:
-    """The solve behind every entry point; called directly from them, so
+def _solve_stack(configs: list[SolverConfig], sources: list[SourceTerm]) -> list:
+    """The solve behind both entry points; called directly from them, so
     that the conditioning warning names their caller.
 
-    Assembly runs once over the stack: the temporal operators and the
-    forcing time matrices with a leading group axis, the forcing
-    projections, the band matrices and the residuals batched over every
-    group or source.  Only the banded LU, its condition estimate and its
-    back-substitution run per group."""
+    The sources of equal configurations form a group.  Assembly runs once
+    over the stack: the temporal operators and the forcing time matrices
+    with a leading group axis, the forcing projections, the band matrices
+    and the residuals batched over every group or source.  Only the banded
+    LU, its condition estimate and its back-substitution run per group."""
     if len(configs) != len(sources):
-        raise StructuralError("one list of sources per configuration")
-    if not configs:
+        raise StructuralError("one configuration per source")
+    members: dict[SolverConfig, list[int]] = {}
+    for i, config in enumerate(configs):
+        members.setdefault(config, []).append(i)
+    groups = list(members)
+    if not groups:
         return []
-    base = configs[0]
+    base = groups[0]
     shared = (base.kappa, base.rho, base.m_space, base.n_time, base.t_end, base.dimension)
-    for config in configs:
+    for config in groups:
         if config.dimension != 1:
             raise ParameterDomainError("solve_1d needs a dimension-1 configuration")
         if (config.kappa, config.rho, config.m_space, config.n_time, config.t_end, 1) != shared:
             raise ParameterDomainError("stacked configurations may differ only in mu and lam")
     ops_x = assemble_spatial(base.m_space)
-    groups: list = assemble_temporal(
-        base.n_time, [c.mu for c in configs], [c.lam for c in configs]
-    )
-    live = [g for g, ops in enumerate(groups) if not isinstance(ops, Exception)]
-    if not live:
-        return groups
-    temporal = {g: groups[g] for g in live}
+    out: list = [None] * len(sources)
+    stack = assemble_temporal(base.n_time, [c.mu for c in groups], [c.lam for c in groups])
+    temporal = {}
+    for config, ops in zip(groups, stack):
+        if isinstance(ops, Exception):
+            for i in members[config]:
+                out[i] = ops  # the shared system failed: so does every source
+        else:
+            temporal[config] = ops
+    if not temporal:
+        return out
     x, wx, phi, t_phys, tmat = _forcing_rules(
-        ops_x.basis, [temporal[g].basis for g in live], base.t_end
+        ops_x.basis, [ops.basis for ops in temporal.values()], base.t_end
     )
 
     # every source's forcing values, group by group: a group's assembled
-    # sources are the forcings spans[g] = (lo, hi), and slot[i] is the place
-    # of forcing i among its group's outcomes
-    fvals, rows, slot, spans = [], [], [], {}
-    for k, g in enumerate(live):
-        outcomes = groups[g] = []
+    # sources are the forcings spans[config] = (lo, hi), and forcing j
+    # belongs to source index[j]
+    fvals, rows, index, spans = [], [], [], {}
+    for k, config in enumerate(temporal):
         lo = len(fvals)
-        for source in sources[g]:
+        for i in members[config]:
             try:
-                _check_source(configs[g], source)
-                fvals.append(_forcing_values_1d(source, x, t_phys[k]))
+                _check_source(config, sources[i])
+                fvals.append(_forcing_values_1d(sources[i], x, t_phys[k]))
             except (NumericalFailure, ParameterDomainError, StructuralError) as exc:
-                outcomes.append(exc)  # this source's own failure
+                out[i] = exc  # this source's own failure
                 continue
             rows.append(k)
-            slot.append(len(outcomes))
-            outcomes.append(None)
+            index.append(i)
         if len(fvals) > lo:
-            spans[g] = (lo, len(fvals))
+            spans[config] = (lo, len(fvals))
     if not fvals:
-        return groups
+        return out
     # np.stack keeps the sources' own memory order when they share one,
     # and with it the GEMM's rounding
     forcings = _project_forcing_1d(np.stack(fvals), tmat[rows], wx, phi)
 
     # one band matrix per group with an assembled source, built in one pass;
     # then per group the LU, its condition estimate and one gbtrs call
-    used = list(spans)
-    st = np.array([temporal[g].stiffness * base.t_end ** (-configs[g].mu) for g in used])
-    mt = np.array([temporal[g].mass for g in used])
+    st = np.array([temporal[c].stiffness * base.t_end ** (-c.mu) for c in spans])
+    mt = np.array([temporal[c].mass for c in spans])
     mx, cx = ops_x.mass, ops_x.convection
     ab, kl = _band_system(st, mt, mx, cx, base.kappa, base.rho)
-    solved = []  # (group, its band, its forcings, condition, warned, coefficients)
-    for k, g in enumerate(used):
-        lo, hi = spans[g]
+    solved = []  # (configuration, its band, its first forcing, condition, warned, coefficients)
+    for k, (config, (lo, hi)) in enumerate(spans.items()):
         rhs = np.column_stack([f.ravel(order="F") for f in forcings[lo:hi]])
         try:
             vecs, cond = _banded_solve(ab[k], kl, rhs)
         except NumericalFailure as exc:
-            groups[g] = exc  # the shared system failed: so does every source
+            for i in members[config]:
+                out[i] = exc
             continue
         warned = _check_conditioning(cond, "1D")
         # column j of vecs as the Fortran-ordered matrix U_j, a view of vecs
         coeffs = vecs.T.reshape(hi - lo, mx.shape[0], -1).transpose(0, 2, 1)
-        solved.append((g, k, lo, cond, warned, coeffs))
+        solved.append((config, k, lo, cond, warned, coeffs))
     if not solved:
-        return groups
+        return out
 
     # the residuals of every solved source, batched
     sol = _fortran_stack([c for *_, coeffs in solved for c in coeffs])
@@ -377,19 +367,19 @@ def _solve_stack(configs: list[SolverConfig], sources: list[list[SourceTerm]]) -
     st_s, mt_s = st[pick], mt[pick]
     applied = st_s @ sol @ mx + base.kappa * mt_s @ sol + base.rho * mt_s @ sol @ cx.T
     applied = iter(applied)
-    for g, _, lo, cond, warned, coeffs in solved:
-        for i, c in enumerate(coeffs, start=lo):
-            residual = _residual_norm(next(applied), forcings[i])
+    for config, _, lo, cond, warned, coeffs in solved:
+        for j, c in enumerate(coeffs, start=lo):
+            residual = _residual_norm(next(applied), forcings[j])
             try:
                 _check_residual(residual, cond, warned)
             except NumericalFailure as exc:
-                groups[g][slot[i]] = exc
+                out[index[j]] = exc
                 continue
             c.flags.writeable = False
-            groups[g][slot[i]] = SpectralSolution(
-                configs[g], ops_x.basis, temporal[g].basis, c, residual, cond, warned
+            out[index[j]] = SpectralSolution(
+                configs[index[j]], ops_x.basis, temporal[config].basis, c, residual, cond, warned
             )
-    return groups
+    return out
 
 
 def _unit_times(t, t_end: float) -> np.ndarray:

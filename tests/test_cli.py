@@ -248,6 +248,26 @@ class TestSolveCommand:
         )
         assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("kind", ["ann", "spline"])
+    def test_non_object_model_file_exits_2(self, tmp_path, kind):
+        # a model file holding valid JSON that is not an object is a
+        # configuration error
+        (tmp_path / "list.json").write_text("[1, 2]")
+        path = write_config(
+            tmp_path,
+            f"""
+            [problem]
+            mu = 0.5
+            nu = 0.5
+
+            [discretization]
+            M = 8
+            N = 4
+            lambda = {kind}:list.json
+            """,
+        )
+        assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+
     def test_no_exact_without_reference_exits_2(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -469,7 +489,7 @@ class TestTrainCommand:
         def no_solve(*args, **kwargs):
             raise AssertionError("train solved before rejecting its configuration")
 
-        monkeypatch.setattr(mltune, "solve_1d_groups", no_solve)
+        monkeypatch.setattr(mltune, "solve_1d_batch", no_solve)
         path = write_config(tmp_path, TRAIN_MINI + "    beta1 = nan\n")
         assert cli.main(["train", "--config", path, "--out", str(tmp_path)]) == 2
 

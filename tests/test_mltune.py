@@ -387,7 +387,7 @@ class TestBatchLoss:
         mus = np.array([0.2, 0.6])
         nus = np.array([0.4, 0.7])
         refs = np.array([mt.sample_error(ctx, m, n, 1.0) for m, n in zip(mus, nus)])
-        real = mt.solve_1d_groups
+        real = mt.solve_1d_batch
 
         def flaky(configs, sources):
             # the mu = 0.2 group's solve breaks down
@@ -397,7 +397,7 @@ class TestBatchLoss:
                 for c, out in zip(configs, outcomes)
             ]
 
-        monkeypatch.setattr(mt, "solve_1d_groups", flaky)
+        monkeypatch.setattr(mt, "solve_1d_batch", flaky)
         with caplog.at_level("WARNING", logger="muntzspec.mltune"):
             ratios = mt._ratios(ctx, mus, nus, 0.5, refs)
             loss = mt._mean_kept(ratios, "every sample failed")
@@ -484,7 +484,7 @@ class TestEndToEndGradient:
         nus = np.array([0.45, 0.8])
         refs = np.array([mt.sample_error(ctx, m, n, 1.0) for m, n in zip(mus, nus)])
         bad_lam = mt._clamp_lambda(mt.forward_batch(net, mus), cfg)[0] + side * cfg.fd_step
-        real = mt.solve_1d_groups
+        real = mt.solve_1d_batch
 
         def flaky(configs, sources):
             outcomes = real(configs, sources)
@@ -494,7 +494,7 @@ class TestEndToEndGradient:
                 for c, out in zip(configs, outcomes)
             ]
 
-        monkeypatch.setattr(mt, "solve_1d_groups", flaky)
+        monkeypatch.setattr(mt, "solve_1d_batch", flaky)
         loss, gw, gb = mt._loss_and_gradient(net, mus, nus, refs, ctx, cfg)
         alone, gw1, gb1 = mt._loss_and_gradient(net, mus[1:], nus[1:], refs[1:], ctx, cfg)
         assert loss == alone
@@ -690,6 +690,14 @@ class TestModelIO:
         with pytest.raises(StructuralError):
             mt.load_model(str(path))
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "3.5"], ids=["list", "number"])
+    def test_non_object_document_rejected(self, tmp_path, text):
+        # valid JSON that is not an object is a corrupt file, not a crash
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(StructuralError, match="JSON object"):
+            mt.load_model(str(path))
+
 
 class TestSpline:
     def knots(self):
@@ -751,6 +759,14 @@ class TestSpline:
         path = tmp_path / "spline.json"
         path.write_text("{\"schema_version\": 1}")
         with pytest.raises(StructuralError):
+            mt.load_spline(str(path))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3.5"], ids=["list", "number"])
+    def test_non_object_spline_rejected(self, tmp_path, text):
+        # valid JSON that is not an object is a corrupt file, not a crash
+        path = tmp_path / "spline.json"
+        path.write_text(text)
+        with pytest.raises(StructuralError, match="JSON object"):
             mt.load_spline(str(path))
 
     def test_fit_mini_produces_model(self):

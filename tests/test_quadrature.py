@@ -11,7 +11,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import beta as beta_fn, betaln
 
-from muntzspec import ParameterDomainError, gauss_jacobi, gauss_jacobi_unit, quadrature, shift_to_unit
+from muntzspec import ParameterDomainError, gauss_jacobi, gauss_jacobi_unit, quadrature
 
 
 def unit_moments_oracle(alpha, beta, kmax):
@@ -78,16 +78,12 @@ class TestGaussJacobi:
 
 class TestShiftToUnit:
     def test_affine_node_image_and_weight_scale(self):
+        # the [0, 1] rule is the affine image of the [-1, 1] one
         base = gauss_jacobi(0.5, -0.5, 7)
-        unit = shift_to_unit(base)
+        unit = gauss_jacobi_unit(0.5, -0.5, 7)
         np.testing.assert_allclose(unit.nodes, 0.5 * (base.nodes + 1.0), rtol=0, atol=0)
         np.testing.assert_allclose(unit.weights, base.weights / 2.0, rtol=1e-15)
         assert unit.interval == (0.0, 1.0)
-
-    def test_double_shift_rejected(self):
-        unit = gauss_jacobi_unit(0.0, 0.0, 3)
-        with pytest.raises(ParameterDomainError):
-            shift_to_unit(unit)
 
 
 class TestDirectEigensolver:

@@ -26,15 +26,19 @@ from muntzspec.assembly import (
     assemble_temporal,
     caputo_power,
 )
-from muntzspec.errors import ConditioningError, NumericalFailure, ParameterDomainError
+from muntzspec.errors import (
+    ConditioningError,
+    NumericalFailure,
+    ParameterDomainError,
+    StructuralError,
+)
 from muntzspec.solver1d import (
     ErrorReport,
     SolverConfig,
     error_norms,
     evaluate_grid,
     solve_1d,
-    solve_1d_group,
-    solve_1d_groups,
+    solve_1d_batch,
 )
 
 MODELS_DIR = pathlib.Path(muntzspec.__file__).resolve().parent / "models"
@@ -280,14 +284,14 @@ class TestGroupedSolve:
     @pytest.mark.filterwarnings("ignore:1D system condition estimate")
     @pytest.mark.parametrize("mu", [0.12, 0.5, 0.85])
     def test_one_source_matches_its_column_of_a_group(self, mu):
-        # solve_1d is the one-source call of solve_1d_group; a source's
+        # solve_1d is the one-source call of solve_1d_batch; a source's
         # column must not depend on which other sources share the gbtrs call
         ann_lam, spline_lam = packaged_lambdas(mu)
         sources = [ManufacturedProblem(mu=mu, nu=nu) for nu in (0.3, 1.0 - mu, 0.9, 2.0)]
         sources.append(lambda x, t: np.sqrt(t) * np.cos(0.5 * np.pi * x))
         for lam in (1.0, spline_lam, ann_lam):
             cfg = SolverConfig(mu=mu, lam=lam, m_space=16, n_time=12)
-            group = solve_1d_group(cfg, sources)
+            group = solve_1d_batch([cfg] * len(sources), sources)
             for source, grouped in zip(sources, group):
                 alone = solve_1d(cfg, source)
                 assert np.array_equal(grouped.coeffs, alone.coeffs)
@@ -302,7 +306,7 @@ class TestGroupedSolve:
         good = ManufacturedProblem(mu=0.5, nu=1.5)
         non_finite = lambda x, t: np.nan * x * t  # noqa: E731
         mismatched = ManufacturedProblem(mu=0.3, nu=1.5)
-        group = solve_1d_group(cfg, [good, non_finite, mismatched, good])
+        group = solve_1d_batch([cfg] * 4, [good, non_finite, mismatched, good])
         assert isinstance(group[1], NumericalFailure)
         assert isinstance(group[2], ParameterDomainError)
         for solved in (group[0], group[3]):
@@ -321,32 +325,35 @@ class TestGroupedSolve:
         monkeypatch.setattr(solver1d, "_residual_norm", second_fails)
         cfg = SolverConfig(mu=0.5, lam=0.5, m_space=10, n_time=6)
         sources = [ManufacturedProblem(mu=0.5, nu=nu) for nu in (0.4, 0.6, 0.8)]
-        group = solve_1d_group(cfg, sources)
+        group = solve_1d_batch([cfg] * 3, sources)
         assert isinstance(group[1], NumericalFailure)
         assert "residual" in str(group[1])
         assert group[0].residual <= 1e-10 and group[2].residual <= 1e-10
 
     def test_shared_system_failure_raises(self, monkeypatch):
+        # solve_1d raises it; a batch gives it to every source of the group
         cfg = SolverConfig(mu=0.5, lam=0.5, m_space=6, n_time=3)
         sources = [ManufacturedProblem(mu=0.5, nu=nu) for nu in (0.4, 1.5)]
         zero_temporal_operators(monkeypatch)
         with pytest.raises(NumericalFailure, match="zero pivot"):
-            solve_1d_group(cfg, sources)
+            solve_1d(cfg, sources[0])
+        for outcome in solve_1d_batch([cfg] * 2, sources):
+            assert isinstance(outcome, NumericalFailure) and "zero pivot" in str(outcome)
 
         def ill_posed(*args, **kwargs):
             raise ConditioningError("synthetic assembly breakdown")
 
         monkeypatch.setattr(solver1d, "assemble_temporal", ill_posed)
         with pytest.raises(ConditioningError):
-            solve_1d_group(cfg, sources)
+            solve_1d_batch([cfg] * 2, sources)
 
-    @pytest.mark.parametrize("grouped", [False, True], ids=["solve_1d", "solve_1d_group"])
+    @pytest.mark.parametrize("grouped", [False, True], ids=["solve_1d", "solve_1d_batch"])
     def test_condition_warning_names_the_caller(self, grouped):
         prob = ManufacturedProblem(mu=0.12, nu=0.88, kappa=1.0, rho=1.0)
         cfg = SolverConfig(mu=0.12, lam=0.0962, m_space=20, n_time=20)
         with pytest.warns(RuntimeWarning, match="condition estimate") as record:
             if grouped:
-                solve_1d_group(cfg, [prob, prob])
+                solve_1d_batch([cfg, cfg], [prob, prob])
             else:
                 solve_1d(cfg, prob)
         assert [w.filename for w in record] == [__file__]
@@ -369,14 +376,43 @@ def stack_sources(mu):
     return [ManufacturedProblem(mu=mu, nu=nu) for nu in (0.2, 1.0 - mu, 1.7)]
 
 
+def solve_groups(configs, sources):
+    """solve_1d_batch over groups, each a configuration and its sources,
+    flattened into one call; the outcomes come back group by group."""
+    flat = solve_1d_batch([c for c, group in zip(configs, sources) for _ in group],
+                          [s for group in sources for s in group])
+    at = np.cumsum([0] + [len(group) for group in sources])
+    return [flat[lo:hi] for lo, hi in zip(at[:-1], at[1:])]
+
+
+def count_factorizations(monkeypatch, zero_pivot_at=None):
+    """Count solver1d's gbtrf calls in the returned list; call number
+    zero_pivot_at (counted from 1) reports a zero pivot."""
+    real = solver1d.get_lapack_funcs
+    calls = []
+
+    def lookup(names, arrays):
+        gbtrf, gbtrs, gbcon = real(names, arrays)
+
+        def counted(ab, kl, ku, **kwargs):
+            calls.append(None)
+            lu, piv, info = gbtrf(ab, kl, ku, **kwargs)
+            return lu, piv, (3 if len(calls) == zero_pivot_at else info)
+
+        return counted, gbtrs, gbcon
+
+    monkeypatch.setattr(solver1d, "get_lapack_funcs", lookup)
+    return calls
+
+
 class TestStackedSolve:
     @pytest.mark.filterwarnings("ignore:1D system condition estimate")
     def test_each_group_matches_its_solve_alone(self):
         configs = [SolverConfig(mu=mu, lam=lam, m_space=20, n_time=10) for mu, lam in STACK]
         sources = [stack_sources(mu) for mu, _ in STACK]
-        stacked = solve_1d_groups(configs, sources)
+        stacked = solve_groups(configs, sources)
         for cfg, group, outcome in zip(configs, sources, stacked):
-            alone = solve_1d_group(cfg, group)
+            alone = solve_1d_batch([cfg] * len(group), group)
             for got, want in zip(outcome, alone):
                 assert np.array_equal(got.coeffs, want.coeffs)
                 assert got.residual == want.residual
@@ -388,30 +424,18 @@ class TestStackedSolve:
     def test_failing_group_leaves_the_others_alone(self, monkeypatch):
         configs = [SolverConfig(mu=mu, lam=lam, m_space=12, n_time=6) for mu, lam in STACK]
         sources = [stack_sources(mu) for mu, _ in STACK]
-        alone = [solve_1d_group(c, s) for c, s in zip(configs, sources)]
+        alone = [solve_1d_batch([c] * len(s), s) for c, s in zip(configs, sources)]
         # a group whose every source is non-finite: its own failures only
         non_finite = lambda x, t: np.nan * x * t  # noqa: E731
         bad = list(sources)
         bad[2] = [non_finite, non_finite]
-        stacked = solve_1d_groups(configs, bad)
+        stacked = solve_groups(configs, bad)
         assert all(isinstance(out, NumericalFailure) for out in stacked[2])
         # a zero pivot in the third factorization fails that group alone
-        real = solver1d.get_lapack_funcs
-        calls = []
-
-        def lookup(names, arrays):
-            gbtrf, gbtrs, gbcon = real(names, arrays)
-            calls.append(None)
-
-            def singular(ab, kl, ku, **kwargs):
-                lu, piv, info = gbtrf(ab, kl, ku, **kwargs)
-                return lu, piv, (3 if len(calls) == 3 else info)
-
-            return singular, gbtrs, gbcon
-
-        monkeypatch.setattr(solver1d, "get_lapack_funcs", lookup)
-        pivoted = solve_1d_groups(configs, sources)
-        assert isinstance(pivoted[2], NumericalFailure) and "zero pivot" in str(pivoted[2])
+        count_factorizations(monkeypatch, zero_pivot_at=3)
+        pivoted = solve_groups(configs, sources)
+        for outcome in pivoted[2]:
+            assert isinstance(outcome, NumericalFailure) and "zero pivot" in str(outcome)
         for g, want in enumerate(alone):
             if g == 2:
                 continue
@@ -421,12 +445,57 @@ class TestStackedSolve:
                     assert got.residual == ref.residual
 
     def test_configurations_may_differ_only_in_mu_and_lambda(self):
-        sources = [[ManufacturedProblem(mu=0.5, nu=1.5)]] * 2
+        sources = [ManufacturedProblem(mu=0.5, nu=1.5)] * 2
         base = SolverConfig(mu=0.5, lam=0.5, m_space=8, n_time=4)
         for other in (dataclasses.replace(base, n_time=5), dataclasses.replace(base, kappa=2.0)):
             with pytest.raises(ParameterDomainError):
-                solve_1d_groups([base, other], sources)
-        assert solve_1d_groups([], []) == []
+                solve_1d_batch([base, other], sources)
+        assert solve_1d_batch([], []) == []
+
+
+# interleaved configurations of one batch, [A, B, A, C, B]: A and C share
+# an order, B and C lie in the packaged tuners' lambda range
+BATCH = [(0.3, 1.0, 0.2), (0.65, 0.2225, 0.35), (0.3, 1.0, 1.7), (0.3, 0.0801, 0.7),
+         (0.65, 0.2225, 1.1)]
+
+
+class TestBatchGrouping:
+    def batch(self):
+        configs = [SolverConfig(mu=mu, lam=lam, m_space=20, n_time=10) for mu, lam, _ in BATCH]
+        sources = [ManufacturedProblem(mu=mu, nu=nu) for mu, _, nu in BATCH]
+        return configs, sources
+
+    @pytest.mark.filterwarnings("ignore:1D system condition estimate")
+    def test_each_entry_matches_its_solve_alone(self, monkeypatch):
+        configs, sources = self.batch()
+        alone = [solve_1d(c, s) for c, s in zip(configs, sources)]
+        calls = count_factorizations(monkeypatch)
+        batch = solve_1d_batch(configs, sources)
+        assert len(calls) == 3  # one factorization per distinct configuration
+        for cfg, got, want in zip(configs, batch, alone):
+            assert np.array_equal(got.coeffs, want.coeffs)
+            assert got.residual == want.residual
+            # gbcon's estimate is not bit-reproducible between identical calls
+            assert got.cond_estimate == pytest.approx(want.cond_estimate, rel=1e-12)
+            assert got.config is cfg and got.temporal == want.temporal
+
+    @pytest.mark.filterwarnings("ignore:1D system condition estimate")
+    def test_zero_pivot_fails_only_its_configuration(self, monkeypatch):
+        configs, sources = self.batch()
+        alone = [solve_1d(c, s) for c, s in zip(configs, sources)]
+        # B, the second distinct configuration, is factored second
+        count_factorizations(monkeypatch, zero_pivot_at=2)
+        batch = solve_1d_batch(configs, sources)
+        for i, (got, want) in enumerate(zip(batch, alone)):
+            if i in (1, 4):
+                assert isinstance(got, NumericalFailure) and "zero pivot" in str(got)
+            else:
+                assert np.array_equal(got.coeffs, want.coeffs)
+
+    def test_one_configuration_per_source(self):
+        configs, sources = self.batch()
+        with pytest.raises(StructuralError):
+            solve_1d_batch(configs, sources[:-1])
 
 
 class TestResidualScale:
