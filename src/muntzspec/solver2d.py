@@ -7,10 +7,14 @@ only through time:
 
     a_c St u_c + kappa b_c Mt u_c = f_c,   a_c = nu_kx nu_ky,  b_c = nu_kx + nu_ky.
 
-These real (N+1) x (N+1) systems are solved by batched LU; modes (kx, ky)
-and (ky, kx) share one matrix, so each unordered pair is one solve with two
-right-hand sides.  The dense Kronecker system is solved only by the test
-oracle in tests/test_solver2d.py.
+All K^2 of these real (N+1) x (N+1) systems share the pencil (St, Mt), so
+one real generalized Schur form St = Q S Z^T, Mt = Q T Z^T (QZ, with S
+quasi-upper-triangular and T upper triangular) turns every one of them into
+the quasi-triangular system (a_c S + kappa b_c T) y_c = Q^T f_c, u_c = Z y_c.
+These are solved together by one back-substitution over the rows, vectorized
+over the modes (Gardiner, Laub, Amato & Moler, ACM TOMS 18, 1992).  Q and Z
+are orthogonal, so the solve is backward stable.  The dense Kronecker system
+is solved only by the test oracle in tests/test_solver2d.py.
 
 The solve takes the 1D solver's SolverConfig with dimension = 2 and shares
 its residual check, time-domain check and ErrorReport.
@@ -19,12 +23,13 @@ its residual check, time-domain check and ErrorReport.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
-# qz, lu_factor and lu_solve are unused here; they stay importable as
-# solver2d.qz/lu_factor/lu_solve because the benchmark tracer (bench/spans.py)
-# wraps them, with eigh, by name.
+# lu_factor and lu_solve are unused here; they stay importable as
+# solver2d.lu_factor/lu_solve because the benchmark tracer (bench/spans.py)
+# wraps them, with eigh and qz, by name.
 from scipy.linalg import eigh, lu_factor, lu_solve, qz  # noqa: F401
 
 from .assembly import SourceTerm, assemble_forcing_2d, assemble_spatial, assemble_temporal
@@ -50,10 +55,6 @@ __all__ = [
     "solve_2d",
 ]
 
-# mode pairs per batched solve: bounds the stacked matrices to a few MB
-_PAIR_CHUNK = 256
-
-
 @dataclass(frozen=True)
 class FourierLikeBasis:
     """Orthonormal spatial rotation diagonalizing mass and stiffness forms.
@@ -67,7 +68,10 @@ class FourierLikeBasis:
     weights: np.ndarray
 
 
+@cache
 def fourier_like_basis(m_legendre: int) -> FourierLikeBasis:
+    """Rotation for cutoff m_legendre; cached per cutoff, with read-only
+    arrays shared by every caller."""
     ops = assemble_spatial(m_legendre)
     weights, transform = eigh(ops.mass)
     if weights.min() <= 0.0:
@@ -106,8 +110,8 @@ class Solution2D:
 
 
 def solve_2d(config: SolverConfig, source: SourceTerm) -> Solution2D:
-    """One real LU per unordered pair of rotated spatial modes, batched over
-    the pairs."""
+    """One real QZ of the temporal pencil, then one quasi-triangular
+    back-substitution vectorized over every rotated spatial mode."""
     if config.dimension != 2:
         raise ParameterDomainError("solve_2d needs a dimension-2 configuration")
     _check_source(config, source)
@@ -118,30 +122,45 @@ def solve_2d(config: SolverConfig, source: SourceTerm) -> Solution2D:
     f_plain = assemble_forcing_2d(source, fb.spatial, ops_t.basis, t_end=config.t_end)
     f_sigma = _rotate(fb, f_plain)
     w = fb.weights
-    k = w.size
-    n1 = st.shape[0]
-    kx, ky = np.triu_indices(k)
-    # block of pair p = scales[p, 0] St + scales[p, 1] Mt, formed by one GEMM
-    scales = np.stack([w[kx] * w[ky], config.kappa * (w[kx] + w[ky])], axis=-1)
-    pencil = np.stack([st.ravel(), mt.ravel()])
-    cols = np.stack([kx * k + ky, ky * k + kx], axis=-1)  # (pairs, 2)
-    coeffs = np.empty_like(f_sigma)
-    for lo in range(0, kx.size, _PAIR_CHUNK):
-        sl = slice(lo, lo + _PAIR_CHUNK)
-        blocks = (scales[sl] @ pencil).reshape(-1, n1, n1)
-        rhs = f_sigma[:, cols[sl]].transpose(1, 0, 2)  # (pairs, N+1, 2)
-        try:
-            sol = np.linalg.solve(blocks, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"singular mode block in the 2D solve: {exc}") from exc
-        coeffs[:, cols[sl]] = sol.transpose(1, 0, 2)
     a_diag = np.multiply.outer(w, w).ravel()
     b_diag = np.add.outer(w, w).ravel()
+    s, t, q, z = qz(st, mt, output="real")
+    # a singular block gives inf or NaN, which the residual check rejects
+    with np.errstate(all="ignore"):
+        y = _quasi_triangular_solve(s, t, a_diag, config.kappa * b_diag, q.T @ f_sigma)
+        coeffs = z @ y
     applied = (st @ coeffs) * a_diag + config.kappa * (mt @ coeffs) * b_diag
     residual = _residual_norm(applied, f_sigma)
     _check_residual(residual, 0.0, False)
     coeffs.flags.writeable = False
     return Solution2D(config, fb, ops_t.basis, coeffs, residual)
+
+
+def _quasi_triangular_solve(
+    s: np.ndarray, t: np.ndarray, a: np.ndarray, b: np.ndarray, g: np.ndarray
+) -> np.ndarray:
+    """Solve (a[c] S + b[c] T) y[:, c] = g[:, c] for every column c, with S
+    quasi-upper-triangular and T upper triangular, bottom-up over the 1 x 1
+    and 2 x 2 diagonal blocks of S.  A 2 x 2 block is solved by elimination
+    with partial pivoting, column by column; Cramer's rule would overflow in
+    its determinant for b of about 1e154 and above."""
+    y = np.empty_like(g)
+    hi = s.shape[0]
+    while hi > 0:
+        lo = hi - 2 if hi > 1 and s[hi - 1, hi - 2] != 0.0 else hi - 1
+        rhs = g[lo:hi] - a * (s[lo:hi, hi:] @ y[hi:]) - b * (t[lo:hi, hi:] @ y[hi:])
+        block = a * s[lo:hi, lo:hi, None] + b * t[lo:hi, lo:hi, None]
+        if hi - lo == 1:
+            y[lo] = rhs[0] / block[0, 0]
+        else:
+            swap = np.abs(block[1, 0]) > np.abs(block[0, 0])
+            pivot, other = np.where(swap, block[1], block[0]), np.where(swap, block[0], block[1])
+            pivot_rhs, other_rhs = np.where(swap, rhs[1], rhs[0]), np.where(swap, rhs[0], rhs[1])
+            factor = other[0] / pivot[0]
+            y[lo + 1] = (other_rhs - factor * pivot_rhs) / (other[1] - factor * pivot[1])
+            y[lo] = (pivot_rhs - pivot[1] * y[lo + 1]) / pivot[0]
+        hi = lo
+    return y
 
 
 def evaluate_grid_2d(

@@ -185,7 +185,7 @@ def test_criterion_06_fractional_temporal_convergence():
 
 
 def test_criterion_07_2d_oracle_equivalence():
-    # per-mode LU path vs the unrotated dense Kronecker solve (its solution
+    # QZ fast path vs the unrotated dense Kronecker solve (its solution
     # rotated into the mode basis), 10 random cases, coefficient rel diff
     # <= 1e-9, < 30 s
     budget = Budget(30.0)

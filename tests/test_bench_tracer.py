@@ -55,6 +55,36 @@ def test_solve_1d_records_lapack_spans():
     assert tracer.layer_metrics(1, 1.0)["solver1d.lapack_s"] > 0.0
 
 
+def test_solve_2d_records_lapack_spans(monkeypatch):
+    # a warm 2D solve makes one LAPACK call the tracer sees, the QZ through
+    # solver2d.qz; the rotation's eigh is cached per spatial cutoff
+    spans = load_spans()
+    solver2d = muntzspec.solver2d
+    config = muntzspec.solver1d.SolverConfig(
+        mu=0.5, lam=0.5, rho=0.0, m_space=8, n_time=5, dimension=2
+    )
+    problem = ManufacturedProblem(mu=0.5, nu=1.5, rho=0.0, dim=2)
+    solver2d.solve_2d(config, problem)
+    calls = []
+    qz = solver2d.qz
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return qz(*args, **kwargs)
+
+    monkeypatch.setattr(solver2d, "qz", counted)
+    tracer = spans.Tracer(muntzspec)
+    tracer.install()
+    try:
+        solver2d.solve_2d(config, problem)
+    finally:
+        tracer.uninstall()
+    lapack = [span for span in tracer.spans if span[:2] == ["lapack", "solver2d"]]
+    assert len(calls) == 1
+    assert len(lapack) == 1
+    assert tracer.layer_metrics(1, 1.0)["solver2d.lapack_s"] > 0.0
+
+
 def test_batch_loss_assembles_once_per_group(monkeypatch):
     # lambda depends only on mu, so 3 orders x 4 exponents are 3 groups; a
     # `_ratios` call assembles all of them in one stacked temporal assembly,

@@ -1,5 +1,5 @@
 """2D solver tests: rotated-basis structure, trial-space exactness, and
-agreement between the per-mode fast path and the unrotated dense oracle,
+agreement between the QZ fast path and the unrotated dense oracle,
 which lives here (`solve_2d_dense`), next to the 1D one in test_solver1d.py."""
 
 import pathlib
@@ -7,7 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, qz
 
 import muntzspec
 from muntzspec import mltune, solver2d
@@ -134,14 +134,25 @@ class TestFourierLikeBasis:
 
 
 class TestModeSolve:
-    def test_chunked_batches_match_one_batch(self, monkeypatch):
+    def test_repeated_solves_are_bit_identical(self):
+        # the benchmark re-solves each case and requires the same numbers
         prob = ManufacturedProblem(mu=0.4, nu=0.7, kappa=1.3, rho=0.0, dim=2)
         cfg = config_2d(mu=0.4, lam=0.3, kappa=1.3, m_space=9, n_time=6)
-        whole = solve_2d(cfg, prob).coeffs
-        # 36 mode pairs in chunks of 5: six full chunks and a partial one
-        monkeypatch.setattr(solver2d, "_PAIR_CHUNK", 5)
-        chunked = solve_2d(cfg, prob).coeffs
-        np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-13 * np.abs(whole).max())
+        first = solve_2d(cfg, prob).coeffs
+        assert np.array_equal(solve_2d(cfg, prob).coeffs, first)
+
+    def test_two_by_two_blocks_do_not_overflow(self):
+        # block entries near 1e200: a 2 x 2 determinant (Cramer's rule)
+        # would overflow to inf and give NaN; pivoted elimination does not
+        ops_t = assemble_temporal(5, 0.5, 0.5)
+        s, t, _, _ = qz(ops_t.stiffness, ops_t.mass, output="real")
+        assert np.count_nonzero(np.diag(s, -1)) > 0
+        a = np.array([1.0, 1e-3])
+        b = np.array([1e200, 1e199])
+        want = np.random.default_rng(7).standard_normal((s.shape[0], 2))
+        g = a * (s @ want) + b * (t @ want)
+        got = solver2d._quasi_triangular_solve(s, t, a, b, g)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
     def test_singular_block_raises_numerical_failure(self, monkeypatch):
         def zero_operators(n, mu, lam, **kwargs):
@@ -306,6 +317,31 @@ class TestFastVsDense:
             fast = evaluate_grid_2d(solve_2d(cfg, prob), xs, xs, ts)
             dense = evaluate_grid_2d(solve_2d_dense(cfg, prob), xs, xs, ts)
             assert np.abs(fast - dense).max() <= 1e-9 * np.abs(dense).max()
+
+    @staticmethod
+    def assert_agree(cfg, prob):
+        fast = solve_2d(cfg, prob)
+        dense = solve_2d_dense(cfg, prob)
+        scale = np.abs(dense.coeffs).max()
+        assert np.abs(fast.coeffs - dense.coeffs).max() <= 1e-9 * scale
+        assert fast.residual <= 1e-14
+
+    def test_agree_through_two_by_two_schur_blocks(self):
+        cfg = config_2d(mu=0.5, lam=0.5, m_space=7, n_time=5)
+        ops_t = assemble_temporal(cfg.n_time, cfg.mu, cfg.lam)
+        s, _, _, _ = qz(ops_t.stiffness, ops_t.mass, output="real")
+        assert np.count_nonzero(np.diag(s, -1)) > 0
+        self.assert_agree(cfg, ManufacturedProblem(mu=0.5, nu=1.5, rho=0.0, dim=2))
+
+    @pytest.mark.parametrize("n_time", [0, 1])
+    def test_agree_at_the_smallest_temporal_sizes(self, n_time):
+        cfg = config_2d(mu=0.6, lam=0.4, m_space=7, n_time=n_time)
+        self.assert_agree(cfg, ManufacturedProblem(mu=0.6, nu=0.8, rho=0.0, dim=2))
+
+    def test_agree_at_huge_diffusivity(self):
+        kappa = 1e100
+        cfg = config_2d(mu=0.5, lam=0.5, kappa=kappa, m_space=7, n_time=5)
+        self.assert_agree(cfg, ManufacturedProblem(mu=0.5, nu=1.5, kappa=kappa, rho=0.0, dim=2))
 
     def test_dense_size_guard(self):
         cfg = config_2d(mu=0.5, lam=0.5, m_space=40, n_time=30)
