@@ -15,12 +15,16 @@ declares, the medians and quartiles of both sides, every run's value, the
 change's median relative to the parent's, and in how many pairs the change
 was better (in the metric's own direction) or equal; plus the failed share
 of operations and whether every run passed its checks.  Each metric also
-carries the two acceptance rules:
+carries the two acceptance rules and one flag:
   within_bound   the change's median is worse than the parent's by no more
                  than the metric's `bound` (a fraction of the parent's)
   gain_resolved  the change is better in at least 9 of 10 pairs (a tie is
                  no win) and its median is better than the parent's by more
                  than the parent's interquartile range
+  unresolved     the parent's interquartile range is wider than the bound
+                 (`bound` x |parent median|) and not every change run is
+                 better than every parent run: the spread is too wide for
+                 within_bound to show that nothing changed
 The script itself writes nothing; the runs leave in each checkout only what
 bench/run.py leaves there.
 """
@@ -71,11 +75,14 @@ def summarize(results: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
         entry["change_over_parent"] = change / parent if parent else None
         # how much better the change's median is, in the metric's direction
         gain = parent - change if lower else change - parent
+        spread = entry["parent"]["q3"] - entry["parent"]["q1"]
         entry["within_bound"] = -gain <= spec["bound"] * abs(parent)
-        entry["gain_resolved"] = (
-            wins >= 0.9 * len(sides["parent"])
-            and gain > entry["parent"]["q3"] - entry["parent"]["q1"]
-        )
+        entry["gain_resolved"] = wins >= 0.9 * len(sides["parent"]) and gain > spread
+        if lower:
+            beats_every_run = max(sides["change"]) < min(sides["parent"])
+        else:
+            beats_every_run = min(sides["change"]) > max(sides["parent"])
+        entry["unresolved"] = spread > spec["bound"] * abs(parent) and not beats_every_run
         summary["metrics"][name] = entry
     for side, runs in results.items():
         attempted = sum(r["attempted"] for r in runs)

@@ -1,16 +1,17 @@
 """Command-line front end.
 
 Subcommands: solve, convergence, train, predict, compare, dataset.  Runs
-are described by a sectioned key=value config file; results are CSV files
-with 17-significant-digit numeric fields.  Exit codes: 0 success, 2
-configuration error, 3 numerical failure.
+are described by a sectioned key=value config file, which `main` parses
+once and which, with the command line, is the only source of a run's
+settings; an unknown section or key is a configuration error.  Results are
+CSV files with 17-significant-digit numeric fields.  Exit codes: 0 success,
+2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import os
 import pathlib
 import sys
 from dataclasses import dataclass, fields, replace
@@ -23,8 +24,8 @@ from .errors import NumericalFailure, ParameterDomainError, StructuralError
 from .solver1d import SolverConfig, error_norms, evaluate_grid, solve_1d
 from .solver2d import error_norms_2d, evaluate_grid_2d, solve_2d
 
-THREADS_ENV = "MUNTZSPEC_THREADS"
 PACKAGED_TOKEN = "packaged"
+MODELS_DIR = pathlib.Path(__file__).resolve().parent / "models"
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +64,18 @@ class RunConfig:
     base_dir: pathlib.Path
 
 
+_GRID_KEYS = frozenset({"m", "n", "lambda"})
+# the keys each section may hold, as configparser lower-cases them
+SECTION_KEYS = {
+    "problem": frozenset({"mu", "nu", "kappa", "rho", "dimension", "t_end", "exact", "forcing"}),
+    "discretization": _GRID_KEYS,
+    "reference": _GRID_KEYS,
+    "training": frozenset(f.name for f in fields(mltune.TrainingConfig)),
+    "models": frozenset({"ann", "spline"}),
+    "output": frozenset({"out_dir"}),
+}
+
+
 def _get(section, key, cast, default=None, required=False):
     if key not in section:
         if required:
@@ -95,6 +108,13 @@ def parse_run_config(path: str) -> RunConfig:
         parser.read(config_path)
     except configparser.Error as exc:
         raise StructuralError(f"cannot parse config {path}: {exc}") from exc
+    # a typo must not fall back to a default; [DEFAULT] keys are in every section
+    for name in parser.sections():
+        if name not in SECTION_KEYS:
+            raise StructuralError(f"unknown config section [{name}]")
+        for key in parser[name]:
+            if key not in SECTION_KEYS[name]:
+                raise StructuralError(f"unknown key '{key}' in [{name}]")
     base_dir = config_path.resolve().parent
 
     problem = None
@@ -144,7 +164,7 @@ def parse_run_config(path: str) -> RunConfig:
     )
 
 
-def build_training_config(raw: dict, workers_env: int | None = None) -> mltune.TrainingConfig:
+def build_training_config(raw: dict) -> mltune.TrainingConfig:
     """Typed TrainingConfig from the [training] section, each key cast to the
     type of its field's default; unknown keys are rejected to catch typos."""
     casts = {f.name: type(f.default) for f in fields(mltune.TrainingConfig)}
@@ -156,8 +176,6 @@ def build_training_config(raw: dict, workers_env: int | None = None) -> mltune.T
             kwargs[key] = casts[key](value)
         except ValueError as exc:
             raise StructuralError(f"training key '{key}': {exc}") from exc
-    if workers_env is not None and "workers" not in kwargs:
-        kwargs["workers"] = workers_env
     return mltune.TrainingConfig(**kwargs)
 
 
@@ -169,13 +187,13 @@ def resolve_lambda(source: str, mu: float, base_dir: pathlib.Path) -> float:
     if source.startswith("ann:"):
         spec = source[4:].strip()
         if spec == PACKAGED_TOKEN:
-            spec = str(pathlib.Path(__file__).resolve().parent / "models" / "reference_ann.json")
+            spec = str(MODELS_DIR / "reference_ann.json")
         net, _ = mltune.load_model(_resolve_path(spec, base_dir))
         return mltune.forward(net, mu)
     if source.startswith("spline:"):
         spec = source[7:].strip()
         if spec == PACKAGED_TOKEN:
-            spec = str(pathlib.Path(__file__).resolve().parent / "models" / "reference_spline.json")
+            spec = str(MODELS_DIR / "reference_spline.json")
         model = mltune.load_spline(_resolve_path(spec, base_dir))
         return float(mltune.spline_predict(model, mu))
     try:
@@ -311,21 +329,14 @@ def _require(value, name):
     return value
 
 
-def _out_dir(run: RunConfig, args) -> pathlib.Path:
-    if args.out is not None:
-        return pathlib.Path(args.out)
-    return run.out_dir
-
-
-def cmd_solve(args) -> int:
-    run = parse_run_config(args.config)
+def cmd_solve(run: RunConfig, out: pathlib.Path, args) -> int:
     problem = _require(run.problem, "problem")
     disc = _require(run.discretization, "discretization")
     lam = resolve_lambda(disc.lambda_source, problem.mu, run.base_dir)
     row = _solve_row(run, disc, lam)
-    out = _out_dir(run, args) / "errors.csv"
-    write_csv(out, ERRORS_HEADER, [row])
-    print(f"wrote {out}: Linf {row[6]:.3e}, residual {row[7]:.3e}")
+    path = out / "errors.csv"
+    write_csv(path, ERRORS_HEADER, [row])
+    print(f"wrote {path}: Linf {row[6]:.3e}, residual {row[7]:.3e}")
     return 0
 
 
@@ -343,32 +354,16 @@ def _parse_sweep(text: str):
     return axis, points
 
 
-def _env_threads() -> int | None:
-    """The positive count in MUNTZSPEC_THREADS, train's default worker count,
-    or None when it is unset or empty."""
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise StructuralError(f"{THREADS_ENV} must be an integer, got '{raw}'") from exc
-    if count < 1:
-        raise StructuralError(f"{THREADS_ENV} must be positive, got {count}")
-    return count
-
-
-def cmd_convergence(args) -> int:
-    run = parse_run_config(args.config)
+def cmd_convergence(run: RunConfig, out: pathlib.Path, args) -> int:
     problem = _require(run.problem, "problem")
     disc = _require(run.discretization, "discretization")
     axis, points = _parse_sweep(args.sweep)
     lam = resolve_lambda(disc.lambda_source, problem.mu, run.base_dir)
     size = "n_time" if axis == "N" else "m_space"
     rows = [_solve_row(run, replace(disc, **{size: value}), lam) for value in points]
-    out = _out_dir(run, args) / "errors.csv"
-    write_csv(out, ERRORS_HEADER, rows)
-    print(f"wrote {out}: {len(rows)} rows over {axis}={points}")
+    path = out / "errors.csv"
+    write_csv(path, ERRORS_HEADER, rows)
+    print(f"wrote {path}: {len(rows)} rows over {axis}={points}")
     return 0
 
 
@@ -383,13 +378,11 @@ def _datasets(config: mltune.TrainingConfig, context: mltune.SolverContext):
     return train_ds, val_ds
 
 
-def cmd_train(args) -> int:
-    run = parse_run_config(args.config)
-    config = build_training_config(run.training, workers_env=_env_threads())
+def cmd_train(run: RunConfig, out: pathlib.Path, args) -> int:
+    config = build_training_config(run.training)
     context = mltune.SolverContext()
     train_ds, val_ds = _datasets(config, context)
     result = mltune.train(config, train_ds, val_ds, context=context)
-    out = _out_dir(run, args)
     out.mkdir(parents=True, exist_ok=True)
     model_path = out / "model.json"
     mltune.save_model(
@@ -427,8 +420,7 @@ def _parse_mu_list(text: str) -> np.ndarray:
     return values
 
 
-def cmd_predict(args) -> int:
-    run = parse_run_config(args.config)
+def cmd_predict(run: RunConfig, out: pathlib.Path, args) -> int:
     mus = _parse_mu_list(args.mu)
     if "ann" in run.models:
         source = run.models["ann"]
@@ -437,14 +429,13 @@ def cmd_predict(args) -> int:
     else:
         raise StructuralError("config needs a [models] section with an ann or spline entry")
     lams = [resolve_lambda(source, mu, run.base_dir) for mu in mus]
-    out = _out_dir(run, args) / "predictions.csv"
-    write_csv(out, "mu,lambda", list(zip(mus, lams)))
-    print(f"wrote {out}: {len(lams)} predictions")
+    path = out / "predictions.csv"
+    write_csv(path, "mu,lambda", list(zip(mus, lams)))
+    print(f"wrote {path}: {len(lams)} predictions")
     return 0
 
 
-def cmd_compare(args) -> int:
-    run = parse_run_config(args.config)
+def cmd_compare(run: RunConfig, out: pathlib.Path, args) -> int:
     problem = _require(run.problem, "problem")
     disc = _require(run.discretization, "discretization")
     for role in ("ann", "spline"):
@@ -459,16 +450,14 @@ def cmd_compare(args) -> int:
         lam = resolve_lambda(source, problem.mu, run.base_dir)
         full = _solve_row(run, disc, lam)
         rows.append([role, lam, full[5], full[6]])
-    out = _out_dir(run, args) / "compare.csv"
-    write_csv(out, "source,lambda,L2,Linf", rows)
-    print(f"wrote {out}")
+    path = out / "compare.csv"
+    write_csv(path, "source,lambda,L2,Linf", rows)
+    print(f"wrote {path}")
     return 0
 
 
-def cmd_dataset(args) -> int:
-    run = parse_run_config(args.config)
+def cmd_dataset(run: RunConfig, out: pathlib.Path, args) -> int:
     config = build_training_config(run.training)
-    out = _out_dir(run, args)
     out.mkdir(parents=True, exist_ok=True)
     train_ds, val_ds = _datasets(config, mltune.SolverContext())
     mltune.save_dataset(train_ds, str(out / "training_data.csv"))
@@ -513,7 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        run = parse_run_config(args.config)
+        out = pathlib.Path(args.out) if args.out is not None else run.out_dir
+        return args.func(run, out, args)
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

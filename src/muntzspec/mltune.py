@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .assembly import ManufacturedProblem
+from .assembly import LAMBDA_MIN, ManufacturedProblem
 from .basis import SpatialBasis, _muntz_table_stack, _power_rows, spatial_table
 from .errors import (
     NumericalFailure,
@@ -122,7 +122,7 @@ class TrainingConfig:
             raise ParameterDomainError("scheduler cycle constants must be positive")
         if not 0.0 < self.fd_step < 0.01:
             raise ParameterDomainError("finite-difference step must lie in (0, 0.01)")
-        if not 0.01 + self.fd_step <= self.clamp_lo < self.clamp_hi <= 1.0 - self.fd_step:
+        if not LAMBDA_MIN + self.fd_step <= self.clamp_lo < self.clamp_hi <= 1.0 - self.fd_step:
             raise ParameterDomainError(
                 "lambda clamp must leave room for the finite-difference stencil "
                 "inside the solver domain"
@@ -779,7 +779,7 @@ def spline_fit(
         )
     mu_knots = np.arange(1, n_knots + 1) / (n_knots + 1)
     nus = np.arange(1, n_nu + 1) / (n_nu + 1)
-    lo = 0.01 + config.fd_step
+    lo = LAMBDA_MIN + config.fd_step
     hi = 0.999
     lams = np.empty(n_knots)
     flags = np.zeros(n_knots, dtype=bool)

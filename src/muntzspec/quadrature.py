@@ -32,13 +32,11 @@ _CACHE_SIZE = 4096
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights of a Gauss-Jacobi rule on a fixed interval."""
+    """Nodes and weights of a Gauss-Jacobi rule; the builder that returned it
+    fixes its weight and interval."""
 
-    alpha: float
-    beta: float
     nodes: np.ndarray
     weights: np.ndarray
-    interval: tuple[float, float] = (-1.0, 1.0)
 
     def __post_init__(self) -> None:
         if self.nodes.ndim != 1 or self.nodes.shape != self.weights.shape:
@@ -103,7 +101,7 @@ def _check_parameters(alpha: float, beta: float, n: int) -> tuple[float, float, 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _gauss_jacobi_cached(alpha: float, beta: float, n: int) -> QuadratureRule:
     nodes, weights = _golub_welsch(alpha, beta, n)
-    return QuadratureRule(alpha, beta, _freeze(nodes), _freeze(weights))
+    return QuadratureRule(_freeze(nodes), _freeze(weights))
 
 
 def gauss_jacobi(alpha: float, beta: float, n: int) -> QuadratureRule:
@@ -123,7 +121,7 @@ def _gauss_jacobi_unit_cached(alpha: float, beta: float, n: int) -> QuadratureRu
     nodes, weights = _golub_welsch(alpha, beta, n)
     nodes = _freeze(0.5 * (nodes + 1.0))
     weights = _freeze(weights * math.exp(-(alpha + beta + 1.0) * math.log(2.0)))
-    return QuadratureRule(alpha, beta, nodes, weights, interval=(0.0, 1.0))
+    return QuadratureRule(nodes, weights)
 
 
 def gauss_jacobi_unit(alpha: float, beta: float, n: int) -> QuadratureRule:

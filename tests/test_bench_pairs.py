@@ -88,3 +88,22 @@ def test_worse_by_the_bound_is_within_it():
     assert metrics["setup_s"]["within_bound"]
     metrics = summary({"setup_s": [2.0, 2.0, 2.0]}, {"setup_s": [2.51, 2.51, 2.51]})
     assert not metrics["setup_s"]["within_bound"]
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    # parent quartiles 0.8 and 1.2 around a median of 1.0: a spread of 40%
+    # against the 25% bound of setup_s; work_s's quartiles are both 1.0
+    wide = [0.6, 0.8, 0.8, 1.0, 1.0, 1.0, 1.2, 1.2, 1.4]
+    tight = [0.99, 0.99, 1.0, 1.0, 1.0, 1.0, 1.0, 1.01, 1.01]
+    same = {"setup_s": wide, "work_s": tight}
+    metrics = summary(same, same)
+    assert metrics["setup_s"]["within_bound"] and metrics["setup_s"]["unresolved"]
+    assert metrics["work_s"]["within_bound"] and not metrics["work_s"]["unresolved"]
+    # every change run below every parent run resolves even a wide spread
+    faster = {"setup_s": [v - 0.9 for v in wide], "work_s": tight}
+    assert not summary(same, faster)["setup_s"]["unresolved"]
+    # for a higher-is-better metric, every change run must read higher
+    score = [6.0, 8.0, 8.0, 10.0, 10.0, 10.0, 12.0, 12.0, 14.0]
+    assert summary({"score": score}, {"score": score})["score"]["unresolved"]
+    higher = summary({"score": score}, {"score": [v + 9.0 for v in score]})["score"]
+    assert not higher["unresolved"]

@@ -5,7 +5,9 @@ are 0 (success), 2 (configuration error), 3 (numerical failure) and nothing
 else.
 """
 
+import ast
 import json
+import pathlib
 import textwrap
 
 import numpy as np
@@ -123,6 +125,45 @@ class TestConfigParsing:
         with pytest.raises(StructuralError):
             cli.parse_run_config(path)
 
+    @pytest.mark.parametrize(
+        ("section", "line", "message"),
+        [
+            ("problem", "kapa = 50.0", "'kapa' in [problem]"),
+            ("discretization", "lamda = 0.1", "'lamda' in [discretization]"),
+            ("reference", "lamda = 0.1", "'lamda' in [reference]"),
+            ("training", "epocs = 3", "'epocs' in [training]"),
+            ("models", "network = ann:packaged", "'network' in [models]"),
+            ("output", "outdir = elsewhere", "'outdir' in [output]"),
+            ("outptu", "out_dir = elsewhere", "section [outptu]"),
+            # a [DEFAULT] key is a key of every section
+            ("DEFAULT", "kappa = 2.0", "'kappa' in [discretization]"),
+        ],
+    )
+    def test_unknown_section_or_key_exits_2(self, tmp_path, capsys, section, line, message):
+        # without the misspelled line each config solves and exits 0
+        sections = {
+            "problem": "mu = 0.5\nnu = 2.0",
+            "discretization": "M = 10\nN = 5\nlambda = 1.0",
+            "reference": "M = 12\nN = 6\nlambda = 1.0",
+            "models": "ann = ann:packaged",
+            "output": "out_dir = results",
+        }
+        sections[section] = sections.get(section, "") + "\n" + line
+        text = "\n\n".join(f"[{name}]\n{body}" for name, body in sections.items())
+        path = write_config(tmp_path, text)
+        assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "errors.csv").exists()
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((pathlib.Path(__file__).resolve().parents[1] / "configs").glob("*.ini")),
+        ids=lambda path: path.name,
+    )
+    def test_shipped_configs_parse(self, path):
+        run = cli.parse_run_config(str(path))
+        cli.build_training_config(run.training)
+
 
 class TestLambdaResolution:
     def test_literal_and_one(self, tmp_path):
@@ -171,12 +212,6 @@ class TestTrainingSection:
             cfg = cli.build_training_config({field.name: str(field.default)})
             value = getattr(cfg, field.name)
             assert type(value) is type(field.default) and value == field.default, field.name
-
-    def test_env_workers_default(self):
-        cfg = cli.build_training_config({"epochs": "2"}, workers_env=4)
-        assert cfg.workers == 4
-        cfg = cli.build_training_config({"epochs": "2", "workers": "1"}, workers_env=4)
-        assert cfg.workers == 1
 
 
 class TestSolveCommand:
@@ -416,32 +451,17 @@ class TestConvergenceCommand:
         assert cli.main(["convergence", "--config", path, "--sweep", "N=a,b"]) == 2
 
     def test_sweep_ignores_thread_env(self, tmp_path, monkeypatch):
-        # the sweep runs serially and does not read the variable
-        monkeypatch.setenv(cli.THREADS_ENV, "zero")
+        # the run config alone sets a run, so a stray thread variable
+        # changes no command
+        monkeypatch.setenv("MUNTZSPEC_THREADS", "zero")
         path = write_config(tmp_path, SMOOTH_PROBLEM)
         assert cli.main(
             ["convergence", "--config", path, "--sweep", "N=2,4", "--out", str(tmp_path)]
         ) == 0
         _, rows = read_rows(tmp_path / "errors.csv")
         assert [r[4] for r in rows] == ["2", "4"]
-
-    def test_thread_env_validated(self, tmp_path, monkeypatch, capsys):
-        path = write_config(tmp_path, TRAIN_MINI)
-        for bad in ("zero", "0"):
-            monkeypatch.setenv(cli.THREADS_ENV, bad)
-            assert cli.main(["train", "--config", path, "--out", str(tmp_path)]) == 2
-            assert cli.THREADS_ENV in capsys.readouterr().err
-
-    def test_thread_env_parsed_once_for_both_commands(self, tmp_path, monkeypatch, capsys):
-        # only train reads the variable; test_sweep_ignores_thread_env covers convergence
-        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
-        assert cli._env_threads() is None  # unset: no override
-        monkeypatch.setenv(cli.THREADS_ENV, "3")
-        assert cli._env_threads() == 3
-        monkeypatch.setenv(cli.THREADS_ENV, "two")
-        path = write_config(tmp_path, TRAIN_MINI)
-        assert cli.main(["train", "--config", path, "--out", str(tmp_path)]) == 2
-        assert cli.THREADS_ENV in capsys.readouterr().err
+        path = write_config(tmp_path, TRAIN_MINI, name="train.ini")
+        assert cli.main(["train", "--config", path, "--out", str(tmp_path)]) == 0
 
 
 TRAIN_MINI = """
@@ -623,3 +643,23 @@ class TestDatasetCommand:
         assert back.shape == (6, 3)
         # the rows rebuild a valid dataset
         mltune.Dataset("training", back[:, 0], back[:, 1], back[:, 2], 8, 2, 3)
+
+
+def test_no_module_reads_the_environment():
+    # the run config and the command line are the only sources of a run's settings
+    package = pathlib.Path(cli.__file__).resolve().parent
+    reads = []
+    for module in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+                and node.attr in ("environ", "getenv")
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "os"
+                and any(alias.name in ("environ", "getenv") for alias in node.names)
+            ):
+                reads.append(f"{module.name}:{node.lineno}")
+    assert reads == []

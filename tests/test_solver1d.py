@@ -362,7 +362,7 @@ class TestGroupedSolve:
         ops = assemble_spatial(12)
         assert assemble_spatial(12) is ops
         _, _, phi = muntzspec.assembly._spatial_forcing_rule(12)
-        for arr in (ops.stiffness, ops.mass, ops.convection, phi):
+        for arr in (ops.mass, ops.convection, phi):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
 
