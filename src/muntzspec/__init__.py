@@ -22,7 +22,6 @@ from .basis import (
     spatial_table,
 )
 from .errors import (
-    ConditioningError,
     NumericalFailure,
     ParameterDomainError,
     StructuralError,

@@ -305,18 +305,16 @@ def _solve_row(run: RunConfig, disc: DiscretizationSpec, lam: float):
     if problem.dimension == 1:
         solution = solve_1d(cfg, source)
         report = error_norms(solution, exact)
-        cond_warn = solution.cond_warning
     else:
         solution = solve_2d(cfg, source)
         report = error_norms_2d(solution, exact)
-        cond_warn = False
     return [
         problem.dimension, problem.mu, lam, disc.m_space, disc.n_time,
-        report.l2, report.linf, solution.residual, cond_warn,
+        report.l2, report.linf, solution.residual,
     ]
 
 
-ERRORS_HEADER = "dim,mu,lambda,M,N,L2,Linf,residual,cond_warn"
+ERRORS_HEADER = "dim,mu,lambda,M,N,L2,Linf,residual"
 
 
 # ---------------------------------------------------------------------------

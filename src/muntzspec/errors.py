@@ -4,7 +4,6 @@ __all__ = [
     "ParameterDomainError",
     "StructuralError",
     "NumericalFailure",
-    "ConditioningError",
     "TrainingFailure",
 ]
 
@@ -19,10 +18,6 @@ class StructuralError(ValueError):
 
 class NumericalFailure(RuntimeError):
     """A numerical routine produced an unusable result."""
-
-
-class ConditioningError(NumericalFailure):
-    """A matrix or quadrature rule is too ill-conditioned to trust."""
 
 
 class TrainingFailure(NumericalFailure):

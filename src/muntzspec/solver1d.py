@@ -30,6 +30,13 @@ each source keeps its own cross-check, forcing and residual check.
 `solve_1d` is the one-source call of the same pass; every solution is bit
 for bit the one its source solved alone gives.
 
+A solve passes when its relative residual ||F - AU|| / ||F|| (Frobenius,
+computed with an exact power-of-two scaling so that huge forcings do not
+overflow it) is at most RESIDUAL_TOL; otherwise it raises NumericalFailure.
+This normwise backward error (Rigal & Gaches, J. ACM 14, 1967) is the one
+pass/fail rule of both dimensions.  The condition estimate is recorded on
+the solution and gates nothing.
+
 SolverConfig carries the equation (validated by the same check as the
 manufactured problems) and the discretization (lam, M, N); the inner rule
 size keeps assembly's default.  The residual check, evaluation and the error
@@ -39,7 +46,6 @@ report are shared with the 2D solver.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,14 +69,12 @@ from .assembly import (
     assemble_temporal,
 )
 from .basis import MuntzBasis, SpatialBasis, muntz_jacobi_table, spatial_table
-from .errors import ConditioningError, NumericalFailure, ParameterDomainError, StructuralError
+from .errors import NumericalFailure, ParameterDomainError, StructuralError
 # assemble_forcing_1d is unused here; it stays importable as
 # solver1d.assemble_forcing_1d because the benchmark tracer wraps it by name.
 from .assembly import assemble_forcing_1d  # noqa: F401
 
 __all__ = [
-    "COND_FAIL",
-    "COND_WARN",
     "ErrorReport",
     "RESIDUAL_TOL",
     "SolverConfig",
@@ -81,10 +85,7 @@ __all__ = [
     "solve_1d_batch",
 ]
 
-COND_WARN = 1.0e12
-COND_FAIL = 1.0e15
 RESIDUAL_TOL = 1.0e-10
-RESIDUAL_WARNED_TOL = 1.0e-6
 
 
 @dataclass(frozen=True)
@@ -117,9 +118,11 @@ class SolverConfig:
 class SpectralSolution:
     """Solved coefficients plus the solve diagnostics.
 
-    cond_estimate is gbcon's estimate for the factorization the solve used;
-    identical solves can differ in its last digits (1e-16 relative, seen at
-    mu = 0.5, lam = 0.3, M = N = 48), so compare it with a tolerance.
+    residual is the relative residual that passed the residual check.
+    cond_estimate is gbcon's estimate for the factorization the solve used,
+    recorded as data: it gates nothing.  Identical solves can differ in its
+    last digits (1e-16 relative, seen at mu = 0.5, lam = 0.3, M = N = 48),
+    so compare it with a tolerance.
     """
 
     config: SolverConfig
@@ -128,7 +131,6 @@ class SpectralSolution:
     coeffs: np.ndarray
     residual: float
     cond_estimate: float
-    cond_warning: bool
 
 
 def _check_source(config: SolverConfig, source: SourceTerm) -> None:
@@ -148,34 +150,11 @@ def _check_source(config: SolverConfig, source: SourceTerm) -> None:
             )
 
 
-def _check_conditioning(cond: float, shape: str) -> bool:
-    """Warn above the first tier; an estimate above the second tier only
-    becomes an error if the computed residual confirms the breakdown.
-
-    The warning names the code that called the public solve: it sits four
-    frames up, past this check, the solve and the public entry point."""
-    if cond > COND_WARN:
-        warnings.warn(
-            f"{shape} system condition estimate {cond:.3e} exceeds {COND_WARN:.0e}; "
-            "accuracy is monitored through the residual",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        return True
-    return False
-
-
-def _check_residual(residual: float, cond: float, warned: bool) -> None:
-    """Raise unless residual <= tol, so that NaN fails too; above COND_FAIL
-    it is a breakdown.  2D, with no condition figure, passes cond = 0."""
-    tol = RESIDUAL_WARNED_TOL if warned else RESIDUAL_TOL
-    if not residual <= tol:
-        if cond > COND_FAIL:
-            raise ConditioningError(
-                f"system condition estimate {cond:.3e} with residual {residual:.3e}: "
-                "the solve broke down"
-            )
-        raise NumericalFailure(f"solve residual {residual:.3e} exceeds {tol:.0e}")
+def _check_residual(residual: float) -> None:
+    """The one pass/fail rule of every solve, 1D and 2D: raise unless the
+    relative residual is at most RESIDUAL_TOL, so that NaN fails too."""
+    if not residual <= RESIDUAL_TOL:
+        raise NumericalFailure(f"solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}")
 
 
 def _band_system(st, mt, mx, cx, kappa: float, rho: float) -> tuple[np.ndarray, int]:
@@ -235,13 +214,17 @@ def _banded_solve(ab: np.ndarray, kl: int, rhs: np.ndarray) -> tuple[np.ndarray,
 
 def _residual_norm(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """||lhs - rhs|| / ||rhs|| in the Frobenius norm, or ||lhs - rhs|| when
-    rhs is zero.  A forcing whose norm overflows (entries above about 1e154,
-    whose squares overflow) gives NaN, which fails the residual check: the
-    ratio would otherwise read 0 and pass any solution."""
-    scale = np.linalg.norm(rhs)
-    if scale == np.inf:
+    rhs is zero.  Both are first scaled by 2^-e, e the binary exponent of
+    max|rhs|: the scaling is exact, so the ratio is the unscaled one bit for
+    bit wherever neither norm overflows, and a forcing whose squares would
+    overflow (entries above about 1e154) keeps a meaningful residual.  A
+    non-finite forcing gives NaN, which fails the residual check."""
+    peak = float(np.abs(rhs).max())
+    if not math.isfinite(peak):
         return math.nan
-    diff = np.linalg.norm(lhs - rhs)
+    e = -math.frexp(peak)[1]
+    scale = np.linalg.norm(np.ldexp(rhs, e))
+    diff = np.linalg.norm(np.ldexp(lhs - rhs, e))
     return float(diff / scale) if scale > 0.0 else float(diff)
 
 
@@ -254,7 +237,7 @@ def _fortran_stack(mats: list[np.ndarray]) -> np.ndarray:
 
 def solve_1d(config: SolverConfig, source: SourceTerm) -> SpectralSolution:
     """Assemble and solve the 1D problem for the given source term."""
-    (outcome,) = _solve_stack([config], [source])
+    (outcome,) = solve_1d_batch([config], [source])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -265,26 +248,21 @@ def solve_1d_batch(
 ) -> list[SpectralSolution | Exception]:
     """Solve the 1D problem for each source under its configuration, in one
     stacked pass.  The configurations may differ only in mu and lam; the
-    sources of equal configurations share one factorization.
+    sources of equal configurations form a group and share one
+    factorization.
 
     Returns one entry per source: its solution, or its error.  A failure of
     a configuration's shared system (temporal assembly, factorization) is
     the entry of every source under that configuration; a source's own
     failure (cross-check, forcing, residual check) is its alone.  Every
     solution equals the one `solve_1d` returns for that source alone.
+
+    Assembly runs once over the stack: the temporal operators and the
+    forcing time matrices with a leading group axis, the forcing
+    projections, the band matrices and the residuals batched over every
+    group or source.  Only the banded LU, its condition estimate and its
+    back-substitution run per group.
     """
-    return _solve_stack(configs, sources)
-
-
-def _solve_stack(configs: list[SolverConfig], sources: list[SourceTerm]) -> list:
-    """The solve behind both entry points; called directly from them, so
-    that the conditioning warning names their caller.
-
-    The sources of equal configurations form a group.  Assembly runs once
-    over the stack: the temporal operators and the forcing time matrices
-    with a leading group axis, the forcing projections, the band matrices
-    and the residuals batched over every group or source.  Only the banded
-    LU, its condition estimate and its back-substitution run per group."""
     if len(configs) != len(sources):
         raise StructuralError("one configuration per source")
     members: dict[SolverConfig, list[int]] = {}
@@ -345,7 +323,7 @@ def _solve_stack(configs: list[SolverConfig], sources: list[SourceTerm]) -> list
     mt = np.array([temporal[c].mass for c in spans])
     mx, cx = ops_x.mass, ops_x.convection
     ab, kl = _band_system(st, mt, mx, cx, base.kappa, base.rho)
-    solved = []  # (configuration, its band, its first forcing, condition, warned, coefficients)
+    solved = []  # (configuration, its band, its first forcing, condition, coefficients)
     for k, (config, (lo, hi)) in enumerate(spans.items()):
         rhs = np.column_stack([f.ravel(order="F") for f in forcings[lo:hi]])
         try:
@@ -354,10 +332,9 @@ def _solve_stack(configs: list[SolverConfig], sources: list[SourceTerm]) -> list
             for i in members[config]:
                 out[i] = exc
             continue
-        warned = _check_conditioning(cond, "1D")
         # column j of vecs as the Fortran-ordered matrix U_j, a view of vecs
         coeffs = vecs.T.reshape(hi - lo, mx.shape[0], -1).transpose(0, 2, 1)
-        solved.append((config, k, lo, cond, warned, coeffs))
+        solved.append((config, k, lo, cond, coeffs))
     if not solved:
         return out
 
@@ -367,17 +344,17 @@ def _solve_stack(configs: list[SolverConfig], sources: list[SourceTerm]) -> list
     st_s, mt_s = st[pick], mt[pick]
     applied = st_s @ sol @ mx + base.kappa * mt_s @ sol + base.rho * mt_s @ sol @ cx.T
     applied = iter(applied)
-    for config, _, lo, cond, warned, coeffs in solved:
+    for config, _, lo, cond, coeffs in solved:
         for j, c in enumerate(coeffs, start=lo):
             residual = _residual_norm(next(applied), forcings[j])
             try:
-                _check_residual(residual, cond, warned)
+                _check_residual(residual)
             except NumericalFailure as exc:
                 out[index[j]] = exc
                 continue
             c.flags.writeable = False
             out[index[j]] = SpectralSolution(
-                configs[index[j]], ops_x.basis, temporal[config].basis, c, residual, cond, warned
+                configs[index[j]], ops_x.basis, temporal[config].basis, c, residual, cond
             )
     return out
 

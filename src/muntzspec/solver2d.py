@@ -131,7 +131,7 @@ def solve_2d(config: SolverConfig, source: SourceTerm) -> Solution2D:
         coeffs = z @ y
     applied = (st @ coeffs) * a_diag + config.kappa * (mt @ coeffs) * b_diag
     residual = _residual_norm(applied, f_sigma)
-    _check_residual(residual, 0.0, False)
+    _check_residual(residual)
     coeffs.flags.writeable = False
     return Solution2D(config, fb, ops_t.basis, coeffs, residual)
 

@@ -9,7 +9,6 @@ import math
 import os
 import pathlib
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -162,14 +161,12 @@ def test_criterion_06_fractional_temporal_convergence():
     mu = 3.0 / 25.0
     problem = ManufacturedProblem(mu=mu, nu=1.0 - mu)
     sweeps = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for lam in (0.0962, 1.0):
-            errs = []
-            for n in (4, 8, 12, 16, 20):
-                config = SolverConfig(mu=mu, lam=lam, m_space=20, n_time=n)
-                errs.append(error_norms(solve_1d(config, problem), problem.exact).linf)
-            sweeps[lam] = errs
+    for lam in (0.0962, 1.0):
+        errs = []
+        for n in (4, 8, 12, 16, 20):
+            config = SolverConfig(mu=mu, lam=lam, m_space=20, n_time=n)
+            errs.append(error_norms(solve_1d(config, problem), problem.exact).linf)
+        sweeps[lam] = errs
     tuned = sweeps[0.0962]
     floor = 1e-8
     for a, b in zip(tuned, tuned[1:]):
@@ -222,9 +219,7 @@ def test_criterion_08_2d_singular_reproduction():
     config = SolverConfig(
         mu=mu, lam=0.0899, rho=0.0, m_space=30, n_time=30, t_end=2.0, dimension=2
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        solution = solve_2d(config, problem)
+    solution = solve_2d(config, problem)
     linf = error_norms_2d(solution, problem.exact, time=2.0).linf
     assert linf <= 1e-10
     elapsed = budget.check("criterion 8")
@@ -347,11 +342,9 @@ def test_criterion_11_tuner_beats_spline_baseline():
         "spline": float(mltune.spline_predict(spline, mu)),
         "one": 1.0,
     }
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for label, lam in lams.items():
-            config = SolverConfig(mu=mu, lam=lam, m_space=20, n_time=20)
-            errors[label] = error_norms(solve_1d(config, problem), problem.exact).linf
+    for label, lam in lams.items():
+        config = SolverConfig(mu=mu, lam=lam, m_space=20, n_time=20)
+        errors[label] = error_norms(solve_1d(config, problem), problem.exact).linf
     assert errors["ann"] < errors["spline"] < errors["one"], f"{lams} -> {errors}"
     elapsed = budget.check("criterion 11")
     report(

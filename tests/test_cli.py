@@ -220,13 +220,12 @@ class TestSolveCommand:
         code = cli.main(["solve", "--config", path, "--out", str(tmp_path)])
         assert code == 0
         header, rows = read_rows(tmp_path / "errors.csv")
-        assert header == "dim,mu,lambda,M,N,L2,Linf,residual,cond_warn"
+        assert header == "dim,mu,lambda,M,N,L2,Linf,residual"
         assert len(rows) == 1
-        dim, mu, lam, m, n, l2, linf, res, warn = rows[0]
+        dim, mu, lam, m, n, l2, linf, res = rows[0]
         assert (dim, m, n) == ("1", "10", "5")
         # spatial truncation of sin(pi x) dominates at M = 10
         assert float(linf) < 1e-4
-        assert warn in ("0", "1")
 
     def test_lambda_below_floor_exits_2(self, tmp_path, capsys):
         path = write_config(
@@ -369,10 +368,10 @@ class TestSolveCommand:
         # spatial truncation of the product mode dominates at M = 8
         assert float(rows[0][6]) < 1e-2
 
-    @pytest.mark.parametrize("kappa", ["1e300", "1e308"])
+    @pytest.mark.parametrize("kappa", ["1e308"])
     def test_2d_overflowing_diffusivity_exits_3(self, tmp_path, capsys, kappa):
-        # these once exited 0 and wrote a NaN residual or a nan,nan,nan row;
-        # the same configs in 1D exit 3
+        # this once exited 0 and wrote a nan,nan,nan row; its forcing is not
+        # finite, and the same config in 1D exits 3 too
         path = write_config(
             tmp_path,
             "[problem]\nmu = 0.5\nnu = 1.5\nrho = 0.0\ndimension = 2\n"
@@ -381,6 +380,29 @@ class TestSolveCommand:
         with np.errstate(over="ignore", invalid="ignore"):
             assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "errors.csv").exists()
+
+    def test_2d_huge_diffusivity_solves(self, tmp_path):
+        # kappa = 1e300 once exited 0 with a NaN residual, then exited 3 when
+        # its forcing's norm overflowed; the exactly scaled residual passes it
+        path = write_config(
+            tmp_path,
+            "[problem]\nmu = 0.5\nnu = 1.5\nrho = 0.0\ndimension = 2\nkappa = 1e300\n"
+            "[discretization]\nM = 8\nN = 4\nlambda = 0.5\n",
+        )
+        assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
+        _, rows = read_rows(tmp_path / "errors.csv")
+        assert float(rows[0][7]) <= 1e-10
+
+    def test_1d_residual_above_tolerance_exits_3(self, tmp_path, capsys):
+        # this solve once exited 0 with residual 9.3e-7 and Linf 5.2e34, under
+        # a residual bound loosened for its high condition estimate
+        path = write_config(
+            tmp_path,
+            "[problem]\nmu = 0.95\nnu = 0.05\n[discretization]\nM = 20\nN = 48\nlambda = 0.01\n",
+        )
+        assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 3
+        assert "residual" in capsys.readouterr().err
         assert not (tmp_path / "errors.csv").exists()
 
     def test_2d_packaged_ann_lambda_matches_dense_oracle(self, tmp_path):
@@ -663,3 +685,19 @@ def test_no_module_reads_the_environment():
             ):
                 reads.append(f"{module.name}:{node.lineno}")
     assert reads == []
+
+
+def test_no_module_imports_warnings():
+    # a solve reports what it found as data or as an error, never as a warning
+    package = pathlib.Path(cli.__file__).resolve().parent
+    imports = []
+    for module in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            if "warnings" in names:
+                imports.append(f"{module.name}:{node.lineno}")
+    assert imports == []

@@ -70,7 +70,7 @@ def solve_2d_dense(config, source):
         raise NumericalFailure("dense 2D system is singular")
     vec = lu_solve((lu, piv), f_plain.ravel())
     residual = _residual_norm(system @ vec, f_plain.ravel())
-    _check_residual(residual, 0.0, False)
+    _check_residual(residual)
     coeffs = solver2d._rotate(fb, vec.reshape(f_plain.shape))
     coeffs.flags.writeable = False
     return Solution2D(config, fb, ops_t.basis, coeffs, residual)
@@ -237,17 +237,19 @@ class TestSolve2D:
         with pytest.raises(ParameterDomainError):
             solve_2d_dense(cfg, prob)
 
-    @pytest.mark.parametrize("kappa", [1e300, 1e308])
+    @pytest.mark.parametrize("kappa", [1e308])
     def test_overflowing_diffusivity_raises(self, kappa):
-        # kappa = 1e300 once returned a solution whose residual was NaN, which
-        # passed the residual check; 1e308 one with NaN coefficients, because
+        # kappa = 1e308 once returned a solution with NaN coefficients, because
         # the separable forcing's infinite time profile went unchecked
         prob = ManufacturedProblem(mu=0.5, nu=1.5, kappa=kappa, rho=0.0, dim=2)
         cfg = config_2d(mu=0.5, lam=0.5, kappa=kappa, m_space=8, n_time=4)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalFailure):
             solve_2d(cfg, prob)
 
-    @pytest.mark.parametrize("kappa", [1e100, 1e150])
+    # the residual is scaled exactly before its norms are taken, so the
+    # squares of a forcing above ~1e154 no longer overflow them; kappa = 1e300
+    # once gave a NaN residual, which passed the residual check
+    @pytest.mark.parametrize("kappa", [1e100, 1e150, 1e160, 1e200, 1e300])
     def test_large_forcing_keeps_a_meaningful_residual(self, kappa):
         prob = ManufacturedProblem(mu=0.5, nu=1.5, kappa=kappa, rho=0.0, dim=2)
         cfg = config_2d(mu=0.5, lam=0.5, kappa=kappa, m_space=8, n_time=4)
@@ -264,13 +266,6 @@ class TestSolve2D:
             ops_t.mass @ coeffs
         ) * np.add.outer(w, w).ravel()
         assert _residual_norm(applied, forcing) > 1e-10
-
-    @pytest.mark.parametrize("kappa", [1e160, 1e200])
-    def test_overflowing_forcing_norm_fails_instead_of_passing(self, kappa):
-        prob = ManufacturedProblem(mu=0.5, nu=1.5, kappa=kappa, rho=0.0, dim=2)
-        cfg = config_2d(mu=0.5, lam=0.5, kappa=kappa, m_space=8, n_time=4)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalFailure):
-            solve_2d(cfg, prob)
 
     # the orders and sizes at which the packaged ANN's λ once broke the 2D
     # fast path (a complex QZ of the nearly singular temporal pencil left an
