@@ -165,13 +165,12 @@ def parse_run_config(path: str) -> RunConfig:
 
 
 def build_training_config(raw: dict) -> mltune.TrainingConfig:
-    """Typed TrainingConfig from the [training] section, each key cast to the
-    type of its field's default; unknown keys are rejected to catch typos."""
+    """Typed TrainingConfig from the [training] section, whose keys
+    `parse_run_config` has checked, each cast to the type of its field's
+    default."""
     casts = {f.name: type(f.default) for f in fields(mltune.TrainingConfig)}
     kwargs = {}
     for key, value in raw.items():
-        if key not in casts:
-            raise StructuralError(f"unknown training key '{key}'")
         try:
             kwargs[key] = casts[key](value)
         except ValueError as exc:
@@ -181,7 +180,9 @@ def build_training_config(raw: dict) -> mltune.TrainingConfig:
 
 def resolve_lambda(source: str, mu: float, base_dir: pathlib.Path) -> float:
     """Exponent from a source string: a number, 'one', 'ann:<path>' or
-    'spline:<path>'; the path token 'packaged' selects the shipped model."""
+    'spline:<path>'; the path token 'packaged' selects the shipped model.  A
+    network's output is clamped as in training, so it gives the lambda that
+    training solved at."""
     if source == "one":
         return 1.0
     if source.startswith("ann:"):
@@ -189,7 +190,7 @@ def resolve_lambda(source: str, mu: float, base_dir: pathlib.Path) -> float:
         if spec == PACKAGED_TOKEN:
             spec = str(MODELS_DIR / "reference_ann.json")
         net, _ = mltune.load_model(_resolve_path(spec, base_dir))
-        return mltune.forward(net, mu)
+        return float(mltune.TrainingConfig.clamp_lambda(mltune.forward(net, mu)))
     if source.startswith("spline:"):
         spec = source[7:].strip()
         if spec == PACKAGED_TOKEN:

@@ -21,7 +21,9 @@ mean; a failure of a shared system does so for every sample of that
 (mu, lambda) alone.  The finite-difference slope is chained into analytic
 backpropagation through the network.  One bias-corrected Adam update
 (`adam_step`) descends both the network's weights and the spline
-baseline's per-knot lambda.
+baseline's per-knot lambda.  The recipe is fixed: the optimizer, schedule,
+stencil step, lambda clamp and network shape are class constants of
+`TrainingConfig`, whose fields set only a run's size, seed and workers.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -88,62 +90,48 @@ MODEL_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Training hyperparameters; defaults are the full-scale settings."""
+    """The size and seed of a training run, plus the fixed recipe.
+
+    The seven fields are a run's settings (defaults are the full-scale
+    run); the recipe is one set of class constants: Adam's rate and decays
+    (lr_base, beta1, beta2, eps), the warm-restart cosine schedule (t0,
+    t_mult, lr_min), the finite-difference step of the lambda gradient
+    (fd_step), the lambda clamp (clamp_lo, clamp_hi) and the 1-20-20-1
+    Leaky ReLU network (layer_sizes, negative_slope).
+    """
 
     n_mu: int = 30
     n_nu: int = 30
     batch_size: int = 100
     epochs: int = 400
     restarts: int = 10
-    lr_base: float = 1.0e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1.0e-8
-    t0: int = 50
-    t_mult: int = 2
-    lr_min: float = 1.0e-6
-    fd_step: float = 1.0e-4
-    clamp_lo: float = 0.02
-    clamp_hi: float = 0.999
     seed: int = 0
-    hidden_layers: int = 2
-    hidden_width: int = 20
-    negative_slope: float = 0.01
     workers: int = 1
+
+    lr_base: ClassVar[float] = 1.0e-3
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1.0e-8
+    t0: ClassVar[int] = 50
+    t_mult: ClassVar[int] = 2
+    lr_min: ClassVar[float] = 1.0e-6
+    fd_step: ClassVar[float] = 1.0e-4
+    clamp_lo: ClassVar[float] = 0.02
+    clamp_hi: ClassVar[float] = 0.999
+    layer_sizes: ClassVar[tuple[int, ...]] = (1, 20, 20, 1)
+    negative_slope: ClassVar[float] = 0.01
 
     def __post_init__(self) -> None:
         if min(self.n_mu, self.n_nu, self.batch_size, self.epochs, self.restarts) < 1:
             raise ParameterDomainError("grid counts, batch size, epochs and restarts must be positive")
-        if min(self.hidden_layers, self.hidden_width) < 1:
-            raise ParameterDomainError("network needs at least one hidden layer and unit")
-        if not 0.0 < self.lr_min <= self.lr_base < math.inf:
-            raise ParameterDomainError("learning rates must satisfy 0 < lr_min <= lr_base < inf")
-        if self.t0 < 1 or self.t_mult < 1:
-            raise ParameterDomainError("scheduler cycle constants must be positive")
-        if not 0.0 < self.fd_step < 0.01:
-            raise ParameterDomainError("finite-difference step must lie in (0, 0.01)")
-        if not LAMBDA_MIN + self.fd_step <= self.clamp_lo < self.clamp_hi <= 1.0 - self.fd_step:
-            raise ParameterDomainError(
-                "lambda clamp must leave room for the finite-difference stencil "
-                "inside the solver domain"
-            )
         if self.workers < 1:
             raise ParameterDomainError("worker count must be positive")
-        # each range check is written so that NaN and infinite values fail it
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ParameterDomainError(
-                f"Adam decay rates must lie in [0, 1), got beta1={self.beta1}, beta2={self.beta2}"
-            )
-        if not 0.0 < self.eps < math.inf:
-            raise ParameterDomainError(f"Adam epsilon must be positive and finite, got {self.eps}")
-        if not 0.0 <= self.negative_slope < 1.0:
-            raise ParameterDomainError(
-                f"Leaky ReLU slope must lie in [0, 1), got {self.negative_slope}"
-            )
 
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return (1,) + (self.hidden_width,) * self.hidden_layers + (1,)
+    @classmethod
+    def clamp_lambda(cls, lam):
+        """Network outputs clipped to [clamp_lo, clamp_hi]: the lambdas that
+        training solves at."""
+        return np.clip(lam, cls.clamp_lo, cls.clamp_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +246,11 @@ def adam_step(
     params: list[np.ndarray],
     grads: list[np.ndarray],
     lr: float,
-    config: TrainingConfig,
 ) -> None:
-    """Standard bias-corrected Adam update of each parameter array, in place."""
+    """Standard bias-corrected Adam update of each parameter array, in place,
+    with the recipe's decays and epsilon."""
     state.t += 1
-    b1, b2, eps = config.beta1, config.beta2, config.eps
+    b1, b2, eps = TrainingConfig.beta1, TrainingConfig.beta2, TrainingConfig.eps
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -515,10 +503,6 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 # Batch loss and training
 
 
-def _clamp_lambda(lam: np.ndarray, config: TrainingConfig) -> np.ndarray:
-    return np.clip(lam, config.clamp_lo, config.clamp_hi)
-
-
 def batch_loss(
     net: Network,
     mu: np.ndarray,
@@ -533,7 +517,7 @@ def batch_loss(
     samples).
     """
     mu = np.asarray(mu, dtype=float)
-    lams = _clamp_lambda(forward_batch(net, mu), config)
+    lams = config.clamp_lambda(forward_batch(net, mu))
     ratios = _ratios(context, mu, nu, lams, ref_error)
     return _mean_kept(ratios, "every sample in the batch failed to solve"), lams, ratios
 
@@ -553,7 +537,7 @@ def _loss_and_gradient(
     through.  A sample is left out of both when any of its three solves
     fails.
     """
-    lams = _clamp_lambda(forward_batch(net, mu), config)
+    lams = config.clamp_lambda(forward_batch(net, mu))
     h = config.fd_step
     ratios, plus, minus = _ratios(
         context, np.tile(mu, 3), np.tile(nu, 3),
@@ -601,7 +585,7 @@ def _run_restart(args) -> tuple[Network, float, float, np.ndarray]:
                 net, train_ds.mu[idx], train_ds.nu[idx], train_ds.ref_error[idx],
                 context, config,
             )
-            adam_step(state, params, grads_w + grads_b, lr, config)
+            adam_step(state, params, grads_w + grads_b, lr)
             batch_losses.append(loss)
         train_loss = float(np.mean(batch_losses))
         val_loss, _, _ = batch_loss(
@@ -720,7 +704,6 @@ def _profile_losses(context, mu, nus, refs, lams) -> list[float]:
 
 def _scalar_adam_lambda(
     context: SolverContext,
-    config: TrainingConfig,
     mu: float,
     nus: np.ndarray,
     refs: np.ndarray,
@@ -734,13 +717,13 @@ def _scalar_adam_lambda(
     improvements below 1e-8."""
     lam = np.array([0.5])
     state = AdamState.for_params([lam])
-    h = config.fd_step
+    h = TrainingConfig.fd_step
     best = math.inf
     small_improvements = 0
     for _ in range(iterations):
-        plus, minus = _profile_losses(context, mu, nus, refs, [min(lam[0] + h, 1.0), lam[0] - h])
+        plus, minus = _profile_losses(context, mu, nus, refs, [lam[0] + h, lam[0] - h])
         grad = (plus - minus) / (2.0 * h)
-        adam_step(state, [lam], [np.array([grad])], config.lr_base, config)
+        adam_step(state, [lam], [np.array([grad])], TrainingConfig.lr_base)
         np.clip(lam, lo, hi, out=lam)
         current = 0.5 * (plus + minus)
         if best - current < 1e-8:
@@ -757,7 +740,6 @@ def _scalar_adam_lambda(
 
 def spline_fit(
     context: SolverContext | None = None,
-    config: TrainingConfig | None = None,
     n_knots: int = 30,
     n_nu: int = 30,
     iterations: int = 400,
@@ -765,12 +747,12 @@ def spline_fit(
     """Optimize lambda per uniform mu knot over a uniform nu profile, then
     interpolate with a natural cubic spline.
 
-    The nominal lambda domain [0.001, 0.999] is clipped to [0.011, 0.999] so
-    the finite-difference stencil stays inside the solver's conditioning
-    floor; knots that finish on the clipped boundary carry a flag.
+    The nominal lambda domain [0.001, 0.999] is clipped to
+    [LAMBDA_MIN + fd_step, 0.999] = [0.0101, 0.999] so that both
+    finite-difference probes stay inside the solver's domain; knots that
+    finish on the clipped boundary carry a flag.
     """
     context = context or SolverContext()
-    config = config or TrainingConfig()
     if n_knots < 2:
         raise ParameterDomainError("spline needs at least two knots")
     if n_nu < 1 or iterations < 1:
@@ -779,15 +761,13 @@ def spline_fit(
         )
     mu_knots = np.arange(1, n_knots + 1) / (n_knots + 1)
     nus = np.arange(1, n_nu + 1) / (n_nu + 1)
-    lo = LAMBDA_MIN + config.fd_step
+    lo = LAMBDA_MIN + TrainingConfig.fd_step
     hi = 0.999
     lams = np.empty(n_knots)
     flags = np.zeros(n_knots, dtype=bool)
     for i, mu in enumerate(mu_knots):
         refs = np.array(_solved(_sample_errors(context, mu, nus, 1.0)))
-        lams[i], flags[i] = _scalar_adam_lambda(
-            context, config, mu, nus, refs, lo, hi, iterations
-        )
+        lams[i], flags[i] = _scalar_adam_lambda(context, mu, nus, refs, lo, hi, iterations)
         if flags[i]:
             logger.warning("knot mu=%.4f finished on the lambda boundary (%.4f)", mu, lams[i])
     for arr in (mu_knots, lams, flags):

@@ -261,8 +261,7 @@ def test_criterion_09_gradient_checks():
 
     ctx = mltune.SolverContext()
     cfg = mltune.TrainingConfig(
-        n_mu=2, n_nu=2, batch_size=4, epochs=2, restarts=2,
-        hidden_layers=1, hidden_width=3, seed=11,
+        n_mu=2, n_nu=2, batch_size=4, epochs=2, restarts=2, seed=11,
     )
     for _ in range(20):
         net = mltune.init_network((1, 3, 1), 0.01, rng)

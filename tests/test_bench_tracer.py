@@ -91,8 +91,8 @@ def test_batch_loss_assembles_once_per_group(monkeypatch):
     # and the gradient's call stacks the lambda +- h stencil too (9 groups)
     spans = load_spans()
     mltune, quadrature = muntzspec.mltune, muntzspec.quadrature
-    config = mltune.TrainingConfig(hidden_layers=1, hidden_width=3)
-    net = mltune.init_network(config.layer_sizes, config.negative_slope, np.random.default_rng(0))
+    config = mltune.TrainingConfig()
+    net = mltune.init_network((1, 3, 1), config.negative_slope, np.random.default_rng(0))
     mu = np.repeat([0.2, 0.5, 0.8], 4)
     nu = np.tile([0.3, 0.5, 0.7, 0.9], 3)
     quadrature._gauss_jacobi_cached.cache_clear()

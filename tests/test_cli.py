@@ -7,6 +7,7 @@ else.
 
 import ast
 import json
+import math
 import pathlib
 import textwrap
 
@@ -31,6 +32,17 @@ def write_config(tmp_path, text, name="run.ini"):
 def read_rows(path):
     lines = path.read_text().strip().splitlines()
     return lines[0], [line.split(",") for line in lines[1:]]
+
+
+def save_constant_model(path, output):
+    """A network whose output is `output` at every order."""
+    net = mltune.Network(
+        (1, 3, 1),
+        0.01,
+        [np.zeros((3, 1)), np.zeros((1, 3))],
+        [np.zeros(3), np.array([math.log(output / (1.0 - output))])],
+    )
+    mltune.save_model(net, str(path))
 
 
 SMOOTH_PROBLEM = """
@@ -132,6 +144,8 @@ class TestConfigParsing:
             ("discretization", "lamda = 0.1", "'lamda' in [discretization]"),
             ("reference", "lamda = 0.1", "'lamda' in [reference]"),
             ("training", "epocs = 3", "'epocs' in [training]"),
+            # the training recipe is fixed, not a setting
+            ("training", "lr_base = 5e-4", "'lr_base' in [training]"),
             ("models", "network = ann:packaged", "'network' in [models]"),
             ("output", "outdir = elsewhere", "'outdir' in [output]"),
             ("outptu", "out_dir = elsewhere", "section [outptu]"),
@@ -193,13 +207,9 @@ class TestTrainingSection:
     def test_typed_fields(self):
         cfg = cli.build_training_config(
             {"epochs": "3", "restarts": "1", "n_mu": "2", "n_nu": "2",
-             "batch_size": "4", "lr_base": "5e-4", "seed": "9"}
+             "batch_size": "4", "seed": "9", "workers": "2"}
         )
-        assert cfg.epochs == 3 and cfg.lr_base == 5e-4 and cfg.seed == 9
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(StructuralError):
-            cli.build_training_config({"learning_rate": "1e-3"})
+        assert cfg.epochs == 3 and cfg.seed == 9 and cfg.workers == 2
 
     def test_bad_value_rejected(self):
         with pytest.raises(StructuralError):
@@ -226,6 +236,27 @@ class TestSolveCommand:
         assert (dim, m, n) == ("1", "10", "5")
         # spatial truncation of sin(pi x) dominates at M = 10
         assert float(linf) < 1e-4
+
+    @pytest.mark.parametrize("output", [0.005, 0.015])
+    def test_ann_lambda_below_the_clamp_solves_at_the_clamp(self, tmp_path, output):
+        # training solved every network output below clamp_lo at clamp_lo
+        save_constant_model(tmp_path / "low.json", output)
+        path = write_config(
+            tmp_path,
+            """
+            [problem]
+            mu = 0.5
+            nu = 0.5
+
+            [discretization]
+            M = 10
+            N = 5
+            lambda = ann:low.json
+            """,
+        )
+        assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
+        _, rows = read_rows(tmp_path / "errors.csv")
+        assert float(rows[0][2]) == mltune.TrainingConfig.clamp_lo
 
     def test_lambda_below_floor_exits_2(self, tmp_path, capsys):
         path = write_config(
@@ -493,8 +524,6 @@ TRAIN_MINI = """
     batch_size = 4
     epochs = 2
     restarts = 1
-    hidden_layers = 1
-    hidden_width = 3
     seed = 5
 """
 
@@ -505,7 +534,7 @@ class TestTrainCommand:
         code = cli.main(["train", "--config", path, "--out", str(tmp_path / "run1")])
         assert code == 0
         model = json.loads((tmp_path / "run1" / "model.json").read_text())
-        assert model["layer_sizes"] == [1, 3, 1]
+        assert model["layer_sizes"] == [1, 20, 20, 1]
         assert model["metadata"]["seed"] == 5
         header, rows = read_rows(tmp_path / "run1" / "loss_history.csv")
         assert header == "restart,epoch,train_loss,val_loss"
@@ -526,25 +555,19 @@ class TestTrainCommand:
         path = write_config(tmp_path, "[training]\nepochs = 0\n")
         assert cli.main(["train", "--config", path, "--out", str(tmp_path)]) == 2
 
-    def test_non_finite_optimizer_setting_exits_2_before_solving(self, tmp_path, monkeypatch):
-        # a NaN decay rate once ran every dataset solve and exited 3
+    def test_invalid_setting_exits_2_before_solving(self, tmp_path, monkeypatch):
+        # the configuration is validated before the datasets' solves
         def no_solve(*args, **kwargs):
             raise AssertionError("train solved before rejecting its configuration")
 
         monkeypatch.setattr(mltune, "solve_1d_batch", no_solve)
-        path = write_config(tmp_path, TRAIN_MINI + "    beta1 = nan\n")
+        path = write_config(tmp_path, TRAIN_MINI + "    workers = 0\n")
         assert cli.main(["train", "--config", path, "--out", str(tmp_path)]) == 2
 
 
 class TestPredictCommand:
     def zero_model(self, tmp_path):
-        net = mltune.Network(
-            (1, 3, 1),
-            0.01,
-            [np.zeros((3, 1)), np.zeros((1, 3))],
-            [np.zeros(3), np.zeros(1)],
-        )
-        mltune.save_model(net, str(tmp_path / "zero.json"))
+        save_constant_model(tmp_path / "zero.json", 0.5)
         return write_config(tmp_path, "[models]\nann = ann:zero.json\n")
 
     def test_zero_weight_model_predicts_half(self, tmp_path):
@@ -554,6 +577,14 @@ class TestPredictCommand:
         header, rows = read_rows(tmp_path / "predictions.csv")
         assert header == "mu,lambda"
         assert [r[1] for r in rows] == ["0.5", "0.5"]
+
+    def test_ann_output_is_clamped_as_in_training(self, tmp_path):
+        save_constant_model(tmp_path / "low.json", 0.005)
+        path = write_config(tmp_path, "[models]\nann = ann:low.json\n")
+        code = cli.main(["predict", "--config", path, "--mu", "0.5", "--out", str(tmp_path)])
+        assert code == 0
+        _, rows = read_rows(tmp_path / "predictions.csv")
+        assert float(rows[0][1]) == mltune.TrainingConfig.clamp_lo
 
     def test_non_numeric_mu_exits_2(self, tmp_path):
         path = self.zero_model(tmp_path)

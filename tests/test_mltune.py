@@ -6,15 +6,17 @@ and the ratio structure of the loss (forcing lambda = 1 must reproduce the
 cached reference solves exactly).
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from muntzspec import cli
 from muntzspec import mltune as mt
 from muntzspec import solver1d
-from muntzspec.assembly import TemporalOperators
+from muntzspec.assembly import LAMBDA_MIN, TemporalOperators
 from muntzspec.errors import (
     NumericalFailure,
     ParameterDomainError,
@@ -24,15 +26,13 @@ from muntzspec.errors import (
 
 
 def tiny_config(**overrides):
-    """Desk-sized hyperparameters for fast unit runs."""
+    """A desk-sized run for fast unit tests."""
     base = dict(
         n_mu=2,
         n_nu=2,
         batch_size=4,
         epochs=2,
         restarts=2,
-        hidden_layers=1,
-        hidden_width=3,
         seed=11,
     )
     base.update(overrides)
@@ -175,7 +175,7 @@ class TestAdam:
         cfg = mt.TrainingConfig()
         params, state, grads = self._setup(0.37)
         before = [p.copy() for p in params]
-        mt.adam_step(state, params, grads, cfg.lr_base, cfg)
+        mt.adam_step(state, params, grads, cfg.lr_base)
         for prev, now in zip(before, params):
             assert_allclose(prev - now, cfg.lr_base * np.sign(0.37), rtol=1e-6)
         assert state.t == 1
@@ -184,7 +184,7 @@ class TestAdam:
         cfg = mt.TrainingConfig()
         params, state, grads = self._setup(0.0)
         before = [p.copy() for p in params]
-        mt.adam_step(state, params, grads, cfg.lr_base, cfg)
+        mt.adam_step(state, params, grads, cfg.lr_base)
         for prev, now in zip(before, params):
             assert_allclose(now, prev, rtol=0.0, atol=0.0)
 
@@ -192,8 +192,8 @@ class TestAdam:
         cfg = mt.TrainingConfig()
         params_a, state_a, grads_a = self._setup(0.01)
         params_b, state_b, grads_b = self._setup(1000.0 * 0.01)
-        mt.adam_step(state_a, params_a, grads_a, cfg.lr_base, cfg)
-        mt.adam_step(state_b, params_b, grads_b, cfg.lr_base, cfg)
+        mt.adam_step(state_a, params_a, grads_a, cfg.lr_base)
+        mt.adam_step(state_b, params_b, grads_b, cfg.lr_base)
         for a, b in zip(params_a, params_b):
             assert_allclose(a, b, rtol=1e-5)
 
@@ -237,22 +237,11 @@ class TestTrainingConfig:
         "kwargs",
         [
             dict(batch_size=0),
-            dict(lr_min=0.5, lr_base=1e-3),
-            dict(fd_step=0.5),
-            dict(clamp_lo=0.005),
-            dict(clamp_lo=0.9, clamp_hi=0.2),
-            dict(t0=0),
             dict(workers=0),
-            dict(hidden_layers=0),
-            dict(beta1=float("nan")),
-            dict(beta1=1.0),
-            dict(beta2=-0.1),
-            dict(beta2=float("inf")),
-            dict(eps=0.0),
-            dict(eps=float("nan")),
-            dict(negative_slope=1.0),
-            dict(negative_slope=float("nan")),
-            dict(lr_base=float("inf")),
+            dict(n_mu=0),
+            dict(n_nu=0),
+            dict(epochs=0),
+            dict(restarts=0),
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -261,7 +250,24 @@ class TestTrainingConfig:
 
     def test_layer_sizes(self):
         assert mt.TrainingConfig().layer_sizes == (1, 20, 20, 1)
-        assert tiny_config().layer_sizes == (1, 3, 1)
+
+    def test_recipe_constants(self):
+        # both stencil probes of every clamped lambda stay inside the
+        # solver's domain, and the optimizer and schedule are well posed
+        cfg = mt.TrainingConfig
+        h = cfg.fd_step
+        assert LAMBDA_MIN + h <= cfg.clamp_lo < cfg.clamp_hi <= 1.0 - h
+        assert 0.999 + h < 1.0  # the spline's upper knot bound and its plus probe
+        assert 0.0 < h < 0.01
+        assert 0.0 <= cfg.beta1 < 1.0 and 0.0 <= cfg.beta2 < 1.0
+        assert cfg.eps > 0.0
+        assert 0.0 < cfg.lr_min <= cfg.lr_base
+        assert cfg.t0 >= 1 and cfg.t_mult >= 1
+        assert 0.0 <= cfg.negative_slope < 1.0
+        assert cfg.layer_sizes[0] == 1 and cfg.layer_sizes[-1] == 1
+        names = {f.name for f in dataclasses.fields(cfg)}
+        assert names == {"n_mu", "n_nu", "batch_size", "epochs", "restarts", "seed", "workers"}
+        assert names == cli.SECTION_KEYS["training"]
 
 
 class TestSampleError:
@@ -369,7 +375,7 @@ class TestBatchLoss:
         assert np.all(ratios == 1.0)
 
     def test_network_lambdas_are_clamped(self):
-        cfg = tiny_config(clamp_lo=0.45, clamp_hi=0.55)
+        cfg = tiny_config()
         ctx = mt.SolverContext()
         net = mt.init_network((1, 3, 1), 0.01, np.random.default_rng(3))
         net.biases[-1][:] = 40.0  # saturate sigmoid toward 1
@@ -377,7 +383,7 @@ class TestBatchLoss:
         nus = np.array([0.5])
         refs = np.array([mt.sample_error(ctx, 0.3, 0.5, 1.0)])
         _, lams, _ = mt.batch_loss(net, mus, nus, refs, ctx, cfg)
-        assert lams[0] == 0.55
+        assert lams[0] == cfg.clamp_hi == 0.999
 
     def test_failed_sample_excluded_with_warning(self, monkeypatch, caplog):
         ctx = mt.SolverContext()
@@ -480,7 +486,7 @@ class TestEndToEndGradient:
         mus = np.array([0.25, 0.65])
         nus = np.array([0.45, 0.8])
         refs = np.array([mt.sample_error(ctx, m, n, 1.0) for m, n in zip(mus, nus)])
-        bad_lam = mt._clamp_lambda(mt.forward_batch(net, mus), cfg)[0] + side * cfg.fd_step
+        bad_lam = cfg.clamp_lambda(mt.forward_batch(net, mus))[0] + side * cfg.fd_step
         real = mt.solve_1d_batch
 
         def flaky(configs, sources):
@@ -769,7 +775,8 @@ class TestSpline:
     def test_fit_mini_produces_model(self):
         model = mt.spline_fit(n_knots=2, n_nu=2, iterations=3)
         assert model.mu_knots.shape == (2,)
-        assert np.all((model.lambda_knots >= 0.011) & (model.lambda_knots <= 0.999))
+        lo = LAMBDA_MIN + mt.TrainingConfig.fd_step
+        assert np.all((model.lambda_knots >= lo) & (model.lambda_knots <= 0.999))
         assert model.boundary_flags.dtype == bool
 
     @pytest.mark.parametrize("kwargs", [dict(n_nu=0), dict(iterations=0)])
@@ -792,7 +799,7 @@ class TestSpline:
         lam, m, v = 0.5, 0.0, 0.0
         best, small = math.inf, 0
         for it in range(1, iterations + 1):
-            plus, minus = quadratic(None, 0.5, None, None, [min(lam + h, 1.0), lam - h])
+            plus, minus = quadratic(None, 0.5, None, None, [lam + h, lam - h])
             grad = (plus - minus) / (2.0 * h)
             m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
             v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
@@ -805,7 +812,7 @@ class TestSpline:
                 break
             best = min(best, current)
         got, flag = mt._scalar_adam_lambda(
-            mt.SolverContext(), cfg, 0.5, np.array([0.5]), np.array([1.0]), lo, hi, iterations
+            mt.SolverContext(), 0.5, np.array([0.5]), np.array([1.0]), lo, hi, iterations
         )
         assert got == lam
         assert flag == (lam >= hi - 1e-12)
@@ -818,9 +825,8 @@ class TestSpline:
             return [1.0] * len(lams)
 
         monkeypatch.setattr(mt, "_profile_losses", flat)
-        cfg = mt.TrainingConfig()
         lam, flag = mt._scalar_adam_lambda(
-            mt.SolverContext(), cfg, 0.5, np.array([0.5]), np.array([1.0]), 0.011, 0.999, 400
+            mt.SolverContext(), 0.5, np.array([0.5]), np.array([1.0]), 0.011, 0.999, 400
         )
         # 30 consecutive sub-threshold improvements end the loop: iteration 1
         # sets the baseline, iterations 2..31 count, two probes per iteration
