@@ -244,8 +244,10 @@ def _expression_source(problem: ProblemSpec):
     return lambda x, y, t: np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * t)
 
 
-def _problem_source(problem: ProblemSpec):
-    """(source, exact callable or None) for the configured problem."""
+def _problem_source(run: RunConfig):
+    """(source, exact callable) for the configured problem, built once per
+    command: with exact = none the exact callable is the [reference] solve."""
+    problem = run.problem
     if problem.exact == "manufactured":
         manufactured = ManufacturedProblem(
             mu=problem.mu,
@@ -258,7 +260,10 @@ def _problem_source(problem: ProblemSpec):
         if problem.forcing == "manufactured":
             return manufactured, manufactured.exact
         return _expression_source(problem), manufactured.exact
-    return _expression_source(problem), None
+    if run.reference is None:
+        raise StructuralError("exact=none needs a [reference] section for a surrogate solution")
+    source = _expression_source(problem)
+    return source, _reference_exact(run, source)
 
 
 def _solver_config(problem: ProblemSpec, disc: DiscretizationSpec, lam: float) -> SolverConfig:
@@ -292,16 +297,9 @@ def _reference_exact(run: RunConfig, source):
     return exact
 
 
-def _solve_row(run: RunConfig, disc: DiscretizationSpec, lam: float):
-    """One errors.csv row: solve and measure against the configured truth."""
+def _solve_row(run: RunConfig, disc: DiscretizationSpec, lam: float, source, exact):
+    """One errors.csv row: solve for source and measure against exact."""
     problem = run.problem
-    source, exact = _problem_source(problem)
-    if exact is None:
-        if run.reference is None:
-            raise StructuralError(
-                "exact=none needs a [reference] section to build a surrogate solution"
-            )
-        exact = _reference_exact(run, source)
     cfg = _solver_config(problem, disc, lam)
     if problem.dimension == 1:
         solution = solve_1d(cfg, source)
@@ -332,7 +330,7 @@ def cmd_solve(run: RunConfig, out: pathlib.Path, args) -> int:
     problem = _require(run.problem, "problem")
     disc = _require(run.discretization, "discretization")
     lam = resolve_lambda(disc.lambda_source, problem.mu, run.base_dir)
-    row = _solve_row(run, disc, lam)
+    row = _solve_row(run, disc, lam, *_problem_source(run))
     path = out / "errors.csv"
     write_csv(path, ERRORS_HEADER, [row])
     print(f"wrote {path}: Linf {row[6]:.3e}, residual {row[7]:.3e}")
@@ -359,7 +357,8 @@ def cmd_convergence(run: RunConfig, out: pathlib.Path, args) -> int:
     axis, points = _parse_sweep(args.sweep)
     lam = resolve_lambda(disc.lambda_source, problem.mu, run.base_dir)
     size = "n_time" if axis == "N" else "m_space"
-    rows = [_solve_row(run, replace(disc, **{size: value}), lam) for value in points]
+    truth = _problem_source(run)
+    rows = [_solve_row(run, replace(disc, **{size: value}), lam, *truth) for value in points]
     path = out / "errors.csv"
     write_csv(path, ERRORS_HEADER, rows)
     print(f"wrote {path}: {len(rows)} rows over {axis}={points}")
@@ -440,6 +439,7 @@ def cmd_compare(run: RunConfig, out: pathlib.Path, args) -> int:
     for role in ("ann", "spline"):
         if role not in run.models:
             raise StructuralError(f"compare needs a '{role}' entry in [models]")
+    truth = _problem_source(run)
     rows = []
     for role, source in (
         ("one", "one"),
@@ -447,7 +447,7 @@ def cmd_compare(run: RunConfig, out: pathlib.Path, args) -> int:
         ("ann", run.models["ann"]),
     ):
         lam = resolve_lambda(source, problem.mu, run.base_dir)
-        full = _solve_row(run, disc, lam)
+        full = _solve_row(run, disc, lam, *truth)
         rows.append([role, lam, full[5], full[6]])
     path = out / "compare.csv"
     write_csv(path, "source,lambda,L2,Linf", rows)

@@ -11,9 +11,8 @@ Ordered space-major (the Fortran-order ravel of U), the system matrix
 Mx (x) St + kappa I (x) Mt + rho Cx (x) Mt is block-pentadiagonal: the mass Mx
 couples spatial modes k and k +- 2, the convection Cx couples k and k +- 1.
 Its blocks are written straight into LAPACK band storage with
-kl = ku = 3(N+1) - 1 and solved by one banded partial-pivot LU (gbtrf/gbtrs)
-plus the LU's 1-norm condition estimate (gbcon); the dense n x n matrix is
-never formed.
+kl = ku = 3(N+1) - 1 and solved by one banded partial-pivot LU (gbtrf/gbtrs);
+the dense n x n matrix is never formed.
 
 The matrix depends only on the configuration, so sources under equal
 configurations share one factorization: every forcing is one more column
@@ -23,10 +22,10 @@ sources of equal configurations itself and solves every group in one
 stacked pass: the temporal operators, the forcing time matrices, the
 forcing projections, the band matrices and the residuals are each built
 once over the stack with a leading group or source axis; only the banded
-LU, its condition estimate and its back-substitution run per group, since
-LAPACK has no batched band LU.  A failure of a group's shared system
-(temporal assembly, factorization) fails every source of that group, and
-each source keeps its own cross-check, forcing and residual check.
+LU and its back-substitution run per group, since LAPACK has no batched
+band LU.  A failure of a group's shared system (temporal assembly,
+factorization) fails every source of that group, and each source keeps its
+own cross-check, forcing and residual check.
 `solve_1d` is the one-source call of the same pass; every solution is bit
 for bit the one its source solved alone gives.
 
@@ -34,8 +33,8 @@ A solve passes when its relative residual ||F - AU|| / ||F|| (Frobenius,
 computed with an exact power-of-two scaling so that huge forcings do not
 overflow it) is at most RESIDUAL_TOL; otherwise it raises NumericalFailure.
 This normwise backward error (Rigal & Gaches, J. ACM 14, 1967) is the one
-pass/fail rule of both dimensions.  The condition estimate is recorded on
-the solution and gates nothing.
+pass/fail rule of both dimensions.  The solution's condition estimate is
+computed when first read, by one more banded LU, and gates nothing.
 
 SolverConfig carries the equation (validated by the same check as the
 manufactured problems) and the discretization (lam, M, N); the inner rule
@@ -47,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -119,10 +119,10 @@ class SpectralSolution:
     """Solved coefficients plus the solve diagnostics.
 
     residual is the relative residual that passed the residual check.
-    cond_estimate is gbcon's estimate for the factorization the solve used,
-    recorded as data: it gates nothing.  Identical solves can differ in its
-    last digits (1e-16 relative, seen at mu = 0.5, lam = 0.3, M = N = 48),
-    so compare it with a tolerance.
+    cond_estimate is gbcon's 1-norm estimate for the band system, computed on
+    first read by one more banded LU; it gates nothing.  Identical solves can
+    differ in its last digits (1e-16 relative, seen at mu = 0.5, lam = 0.3,
+    M = N = 48), so compare it with a tolerance.
     """
 
     config: SolverConfig
@@ -130,7 +130,22 @@ class SpectralSolution:
     temporal: MuntzBasis
     coeffs: np.ndarray
     residual: float
-    cond_estimate: float
+
+    @cached_property
+    def cond_estimate(self) -> float:
+        c = self.config
+        ops_x, ops_t = assemble_spatial(c.m_space), assemble_temporal(c.n_time, c.mu, c.lam)
+        st = ops_t.stiffness * c.t_end ** (-c.mu)  # the solve's scaling, bit for bit
+        (ab,), kl = _band_system(st[None], ops_t.mass[None], ops_x.mass, ops_x.convection,
+                                 c.kappa, c.rho)
+        anorm = float(np.abs(ab[kl:]).sum(axis=0).max())
+        gbtrf, gbcon = get_lapack_funcs(("gbtrf", "gbcon"), (ab,))
+        lu, piv, info = gbtrf(ab, kl, kl, overwrite_ab=True)
+        if info == 0:
+            rcond, info = gbcon(kl, kl, lu, piv, anorm, norm="1")
+        if info != 0:
+            raise NumericalFailure(f"condition estimate failed with info={info}")
+        return float(1.0 / rcond) if rcond > 0.0 else np.inf
 
 
 def _check_source(config: SolverConfig, source: SourceTerm) -> None:
@@ -192,24 +207,19 @@ def _band_system(st, mt, mx, cx, kappa: float, rho: float) -> tuple[np.ndarray, 
     return ab, kl
 
 
-def _banded_solve(ab: np.ndarray, kl: int, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve the band system by pivoted LU for every column of rhs; returns
-    the solutions and the 1-norm condition estimate."""
-    gbtrf, gbtrs, gbcon = get_lapack_funcs(("gbtrf", "gbtrs", "gbcon"), (ab,))
-    anorm = float(np.abs(ab[kl:]).sum(axis=0).max())
+def _banded_solve(ab: np.ndarray, kl: int, rhs: np.ndarray) -> np.ndarray:
+    """Solve the band system by pivoted LU (gbtrf, in place) and gbtrs for
+    every column of rhs."""
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
     lu, piv, info = gbtrf(ab, kl, kl, overwrite_ab=True)
     if info > 0:
         raise NumericalFailure(f"singular system: zero pivot at row {info}")
     if info < 0:
         raise NumericalFailure(f"banded LU failed with info={info}")
-    rcond, info = gbcon(kl, kl, lu, piv, anorm, norm="1")
-    if info != 0:
-        raise NumericalFailure(f"condition estimator failed with info={info}")
     vec, info = gbtrs(lu, kl, kl, rhs, piv)
     if info != 0:
         raise NumericalFailure(f"banded solve failed with info={info}")
-    cond = float(1.0 / rcond) if rcond > 0.0 else np.inf
-    return vec, cond
+    return vec
 
 
 def _residual_norm(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -260,8 +270,8 @@ def solve_1d_batch(
     Assembly runs once over the stack: the temporal operators and the
     forcing time matrices with a leading group axis, the forcing
     projections, the band matrices and the residuals batched over every
-    group or source.  Only the banded LU, its condition estimate and its
-    back-substitution run per group.
+    group or source.  Only the banded LU (gbtrf) and its back-substitution
+    (gbtrs) run per group.
     """
     if len(configs) != len(sources):
         raise StructuralError("one configuration per source")
@@ -318,23 +328,23 @@ def solve_1d_batch(
     forcings = _project_forcing_1d(np.stack(fvals), tmat[rows], wx, phi)
 
     # one band matrix per group with an assembled source, built in one pass;
-    # then per group the LU, its condition estimate and one gbtrs call
+    # then per group the LU and one gbtrs call
     st = np.array([temporal[c].stiffness * base.t_end ** (-c.mu) for c in spans])
     mt = np.array([temporal[c].mass for c in spans])
     mx, cx = ops_x.mass, ops_x.convection
     ab, kl = _band_system(st, mt, mx, cx, base.kappa, base.rho)
-    solved = []  # (configuration, its band, its first forcing, condition, coefficients)
+    solved = []  # (configuration, its band, its first forcing, coefficients)
     for k, (config, (lo, hi)) in enumerate(spans.items()):
         rhs = np.column_stack([f.ravel(order="F") for f in forcings[lo:hi]])
         try:
-            vecs, cond = _banded_solve(ab[k], kl, rhs)
+            vecs = _banded_solve(ab[k], kl, rhs)
         except NumericalFailure as exc:
             for i in members[config]:
                 out[i] = exc
             continue
         # column j of vecs as the Fortran-ordered matrix U_j, a view of vecs
         coeffs = vecs.T.reshape(hi - lo, mx.shape[0], -1).transpose(0, 2, 1)
-        solved.append((config, k, lo, cond, coeffs))
+        solved.append((config, k, lo, coeffs))
     if not solved:
         return out
 
@@ -344,7 +354,7 @@ def solve_1d_batch(
     st_s, mt_s = st[pick], mt[pick]
     applied = st_s @ sol @ mx + base.kappa * mt_s @ sol + base.rho * mt_s @ sol @ cx.T
     applied = iter(applied)
-    for config, _, lo, cond, coeffs in solved:
+    for config, _, lo, coeffs in solved:
         for j, c in enumerate(coeffs, start=lo):
             residual = _residual_norm(next(applied), forcings[j])
             try:
@@ -354,7 +364,7 @@ def solve_1d_batch(
                 continue
             c.flags.writeable = False
             out[index[j]] = SpectralSolution(
-                configs[index[j]], ops_x.basis, temporal[config].basis, c, residual, cond
+                configs[index[j]], ops_x.basis, temporal[config].basis, c, residual
             )
     return out
 

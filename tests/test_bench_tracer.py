@@ -50,8 +50,8 @@ def test_solve_1d_records_lapack_spans():
     finally:
         tracer.uninstall()
     lapack = [span for span in tracer.spans if span[:2] == ["lapack", "solver1d"]]
-    # the lookup plus gbtrf, gbcon and gbtrs
-    assert len(lapack) >= 4
+    # the lookup plus gbtrf and gbtrs; the solve runs no condition estimate
+    assert len(lapack) == 3
     assert tracer.layer_metrics(1, 1.0)["solver1d.lapack_s"] > 0.0
 
 

@@ -22,6 +22,8 @@ from muntzspec.solver2d import error_norms_2d
 
 from test_solver2d import solve_2d_dense
 
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
 
 def write_config(tmp_path, text, name="run.ini"):
     path = tmp_path / name
@@ -672,6 +674,66 @@ class TestCompareCommand:
             """,
         )
         assert cli.main(["compare", "--config", path]) == 2
+
+
+SURROGATE_2D = """
+    [problem]
+    mu = 0.5
+    rho = 0.0
+    dimension = 2
+    exact = none
+    forcing = sin_pi_x_sin_pi_t
+
+    [discretization]
+    M = 8
+    N = 4
+    lambda = 0.5
+
+    [reference]
+    M = 12
+    N = 8
+    lambda = 0.5
+"""
+
+
+class TestReferenceSolve:
+    """With exact = none, a command solves its [reference] once, however
+    many rows it writes."""
+
+    def count_solves(self, monkeypatch, name):
+        real = getattr(cli, name)
+        calls = []
+
+        def counted(cfg, source):
+            calls.append((cfg.m_space, cfg.n_time))
+            return real(cfg, source)
+
+        monkeypatch.setattr(cli, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["convergence", "--sweep", "N=4,8,12"], ["compare"]],
+        ids=["convergence", "compare"],
+    )
+    def test_1d_reference_is_solved_once(self, tmp_path, monkeypatch, argv):
+        text = (CONFIGS / "solve_surrogate_reference.ini").read_text()
+        text += "\n[models]\nann = ann:packaged\nspline = spline:packaged\n"
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        calls = self.count_solves(monkeypatch, "solve_1d")
+        code = cli.main([argv[0], "--config", str(path), *argv[1:], "--out", str(tmp_path)])
+        assert code == 0
+        assert len(calls) == 4 and calls.count((24, 24)) == 1
+
+    def test_2d_reference_is_solved_once(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, SURROGATE_2D)
+        calls = self.count_solves(monkeypatch, "solve_2d")
+        code = cli.main(
+            ["convergence", "--config", path, "--sweep", "N=2,4", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        assert calls == [(12, 8), (8, 2), (8, 4)]
 
 
 class TestDatasetCommand:

@@ -257,6 +257,17 @@ class TestBandedAgainstDenseOracle:
         got = solve_1d(cfg, prob).cond_estimate
         assert got == pytest.approx(want, rel=0.01)
 
+    def test_condition_estimate_follows_the_equation(self):
+        # the estimate rebuilds the band from the solution's configuration,
+        # so kappa, rho and the t_end scaling of the stiffness must reach it
+        cfg = SolverConfig(
+            mu=0.4, lam=0.6, kappa=1.3, rho=0.8, m_space=16, n_time=8, t_end=1.7
+        )
+        prob = ManufacturedProblem(mu=0.4, nu=0.6, kappa=1.3, rho=0.8, t_end=1.7)
+        _, want = dense_solve(cfg, prob)
+        got = solve_1d(cfg, prob).cond_estimate
+        assert got == pytest.approx(want, rel=0.01)
+
     def test_zero_pivot_raises_numerical_failure(self, monkeypatch):
         zero_temporal_operators(monkeypatch)
         cfg = SolverConfig(mu=0.5, lam=0.5, m_space=6, n_time=3)
@@ -385,14 +396,14 @@ def count_factorizations(monkeypatch, zero_pivot_at=None):
     calls = []
 
     def lookup(names, arrays):
-        gbtrf, gbtrs, gbcon = real(names, arrays)
+        gbtrf, *rest = real(names, arrays)
 
         def counted(ab, kl, ku, **kwargs):
             calls.append(None)
             lu, piv, info = gbtrf(ab, kl, ku, **kwargs)
             return lu, piv, (3 if len(calls) == zero_pivot_at else info)
 
-        return counted, gbtrs, gbcon
+        return (counted, *rest)
 
     monkeypatch.setattr(solver1d, "get_lapack_funcs", lookup)
     return calls
@@ -480,6 +491,26 @@ class TestBatchGrouping:
                 assert isinstance(got, NumericalFailure) and "zero pivot" in str(got)
             else:
                 assert np.array_equal(got.coeffs, want.coeffs)
+
+    def test_solve_requests_no_condition_estimate(self, monkeypatch):
+        # the solve only factors and back-substitutes; gbcon runs on the
+        # first read of a solution's cond_estimate, and only then
+        real = solver1d.get_lapack_funcs
+        requested = []
+
+        def lookup(names, arrays):
+            requested.extend(names)
+            return real(names, arrays)
+
+        monkeypatch.setattr(solver1d, "get_lapack_funcs", lookup)
+        configs, sources = self.batch()
+        batch = solve_1d_batch(configs, sources)
+        assert requested.count("gbtrf") == 3 and "gbcon" not in requested
+        requested.clear()
+        first = batch[1].cond_estimate
+        assert requested.count("gbcon") == 1
+        requested.clear()
+        assert batch[1].cond_estimate == first and requested == []
 
     def test_one_configuration_per_source(self):
         configs, sources = self.batch()
